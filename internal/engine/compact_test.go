@@ -89,3 +89,47 @@ func TestApplyWindowCompactEveryBitwise(t *testing.T) {
 		t.Fatalf("ArenaStats live=%d > total=%d", liveC, totalC)
 	}
 }
+
+// TestUpdStateScratchReleased pins the end-of-phase contract of a worker's
+// scratch: frozen paths alias the store's arena and staged tails alias the
+// worker's tail buffer, so once an arrival or deletion has flushed neither
+// may survive anywhere in the scratch slices' capacity.
+func TestUpdStateScratchReleased(t *testing.T) {
+	const n = 60
+	g := graph.New(n)
+	for i := 0; i < n; i++ {
+		g.AddNode(graph.NodeID(i))
+	}
+	store := walkstore.New()
+	eng := New(g, store, Config{Eps: 0.2, R: 3, Workers: 1, Seed: 41})
+	eng.BuildStore(g.Nodes())
+	rng := rand.New(rand.NewPCG(42, 0))
+	stream := gen.DirichletStream(n, 400, rng)
+	var st updState
+	var added UpdateStats
+	var deleted DeleteStats
+	for i, ed := range stream {
+		g.AddEdge(ed.From, ed.To)
+		eng.applyOne(ed, rng, &st, &added)
+		if i%3 == 2 {
+			g.RemoveEdge(ed.From, ed.To)
+			eng.deleteOne(ed, rng, &st, &deleted)
+		}
+	}
+	if cap(st.paths) == 0 || cap(st.tms) == 0 {
+		t.Fatalf("stream never used the scratch: cap(paths)=%d cap(tms)=%d", cap(st.paths), cap(st.tms))
+	}
+	for i, p := range st.paths[:cap(st.paths)] {
+		if p != nil {
+			t.Fatalf("paths[%d] of %d still holds a %d-node arena path after the phase ended", i, cap(st.paths), len(p))
+		}
+	}
+	for i, tm := range st.tms[:cap(st.tms)] {
+		if tm.NewTail != nil {
+			t.Fatalf("tms[%d] of %d still holds a staged tail after the flush", i, cap(st.tms))
+		}
+	}
+	if err := store.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -245,10 +245,15 @@ type pendingMut struct {
 // stats. Registered with defer after the UnlockSet defer, so it runs (LIFO)
 // while the segment stripe locks are still held.
 func (e *Engine) flushMuts(st *updState, stepsOut, stepsIn *int64) {
+	// The phase's scans are over. Its frozen paths alias the arena, so they
+	// are dropped rather than left in scratch capacity, where a later and
+	// shorter freeze would not overwrite them and they would keep an arena
+	// that Compact has since replaced reachable.
+	clear(st.paths)
+	st.paths = st.paths[:0]
 	if len(st.muts) == 0 {
 		return
 	}
-	st.tms = st.tms[:0]
 	for _, mu := range st.muts {
 		var tail []graph.NodeID
 		if mu.end > mu.start {
@@ -257,6 +262,10 @@ func (e *Engine) flushMuts(st *updState, stepsOut, stepsIn *int64) {
 		st.tms = append(st.tms, walkstore.TailMutation{ID: mu.id, Keep: mu.keep, NewTail: tail})
 	}
 	removed, added := e.store.ReplaceTailBatch(st.tms)
+	// Likewise the staged tails, which alias a tailBuf that append may by
+	// now have outgrown.
+	clear(st.tms)
+	st.tms = st.tms[:0]
 	*stepsOut += int64(removed)
 	*stepsIn += int64(added)
 	st.muts = st.muts[:0]

@@ -683,10 +683,15 @@ func (m *Maintainer) truncate(id walkstore.SegmentID, keep int, w *updater) {
 // fully visible before the source stripe is released, exactly as on the
 // unbatched path.
 func (m *Maintainer) flushMuts(w *updater) {
+	// The phase's scans are over. Its frozen paths alias the arena, so they
+	// are dropped rather than left in scratch capacity, where a later and
+	// shorter freeze would not overwrite them and they would keep an arena
+	// that Compact has since replaced reachable.
+	clear(w.paths)
+	w.paths = w.paths[:0]
 	if len(w.muts) == 0 {
 		return
 	}
-	w.tms = w.tms[:0]
 	for _, mu := range w.muts {
 		var tail []graph.NodeID
 		if mu.end > mu.start {
@@ -695,6 +700,10 @@ func (m *Maintainer) flushMuts(w *updater) {
 		w.tms = append(w.tms, walkstore.TailMutation{ID: mu.id, Keep: mu.keep, NewTail: tail})
 	}
 	removed, added := m.walks.ReplaceTailBatch(w.tms)
+	// Likewise the staged tails, which alias a tailBuf that append may by
+	// now have outgrown.
+	clear(w.tms)
+	w.tms = w.tms[:0]
 	m.cnt.stepsOut.Add(int64(removed))
 	m.cnt.stepsIn.Add(int64(added))
 	w.muts = w.muts[:0]
@@ -764,45 +773,30 @@ func (m *Maintainer) Estimate(v graph.NodeID) float64 {
 	return float64(visits) / float64(total)
 }
 
-// snapshot fetches the visit-count table once (per-stripe consistent) and
-// its sum, recording the serve against both accounting layers.
-func (m *Maintainer) snapshot() (map[graph.NodeID]int64, int64) {
+// ApproxAll returns the full estimate vector as one per-stripe-consistent
+// pass over the visit counters. Nodes never visited by any stored walk are
+// absent.
+func (m *Maintainer) ApproxAll() map[graph.NodeID]float64 {
 	m.cnt.estimates.Add(1)
 	m.soc.CountFetch()
-	counts := m.walks.VisitCounts()
+	scores := make(map[graph.NodeID]float64)
 	var total int64
-	for _, x := range counts {
+	m.walks.EachVisitCount(func(v graph.NodeID, x int64) {
+		scores[v] = float64(x)
 		total += x
-	}
-	return counts, total
-}
-
-// ApproxAll returns the full estimate vector as one snapshot. Nodes never
-// visited by any stored walk are absent.
-func (m *Maintainer) ApproxAll() map[graph.NodeID]float64 {
-	counts, total := m.snapshot()
-	scores := make(map[graph.NodeID]float64, len(counts))
-	if total == 0 {
-		return scores
-	}
-	for v, x := range counts {
-		scores[v] = float64(x) / float64(total)
+	})
+	for v, x := range scores {
+		scores[v] = x / float64(total)
 	}
 	return scores
 }
 
 // TopK returns the k highest-estimate nodes, descending, ties toward lower
-// IDs.
+// IDs, streaming the visit counters instead of copying the table.
 func (m *Maintainer) TopK(k int) []topk.Item {
-	counts, total := m.snapshot()
-	c := topk.New(k)
-	if total == 0 {
-		return c.Items()
-	}
-	for v, x := range counts {
-		c.Offer(v, float64(x)/float64(total))
-	}
-	return c.Items()
+	m.cnt.estimates.Add(1)
+	m.soc.CountFetch()
+	return topk.TopKShares(k, m.walks.EachVisitCount)
 }
 
 // Counters returns a snapshot of the update-path accounting.

@@ -3,6 +3,7 @@ package pagerank
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"fastppr/internal/exact"
@@ -10,6 +11,7 @@ import (
 	"fastppr/internal/graph"
 	"fastppr/internal/socialstore"
 	"fastppr/internal/stats"
+	"fastppr/internal/topk"
 )
 
 const oracleTol = 1e-11
@@ -291,6 +293,14 @@ func TestEstimateAccessors(t *testing.T) {
 	for i, it := range items {
 		if ranked[i] != it.Node {
 			t.Fatalf("TopK rank %d=%d, full ranking says %d", i, it.Node, ranked[i])
+		}
+	}
+
+	// TopK streams raw counts and divides the survivors; the result must be
+	// bit-identical, scores and order, to ranking the full vector.
+	for _, k := range []int{7, 10 * n} {
+		if got, want := mt.TopK(k), topk.TopK(all, k); !slices.Equal(got, want) {
+			t.Fatalf("TopK(%d) differs from ranking ApproxAll:\ngot  %v\nwant %v", k, got, want)
 		}
 	}
 

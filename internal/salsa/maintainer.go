@@ -1009,10 +1009,15 @@ func (m *Maintainer) truncate(id walkstore.SegmentID, keep int, w *updater) {
 // fully visible before the next phase probes the store, exactly as on the
 // unbatched path.
 func (m *Maintainer) flushMuts(w *updater) {
+	// The phase's scans are over. Its frozen paths alias the arena, so they
+	// are dropped rather than left in scratch capacity, where a later and
+	// shorter freeze would not overwrite them and they would keep an arena
+	// that Compact has since replaced reachable.
+	clear(w.paths)
+	w.paths = w.paths[:0]
 	if len(w.muts) == 0 {
 		return
 	}
-	w.tms = w.tms[:0]
 	for _, mu := range w.muts {
 		var tail []graph.NodeID
 		if mu.end > mu.start {
@@ -1021,6 +1026,10 @@ func (m *Maintainer) flushMuts(w *updater) {
 		w.tms = append(w.tms, walkstore.TailMutation{ID: mu.id, Keep: mu.keep, NewTail: tail})
 	}
 	removed, added := m.walks.ReplaceTailBatch(w.tms)
+	// Likewise the staged tails, which alias a tailBuf that append may by
+	// now have outgrown.
+	clear(w.tms)
+	w.tms = w.tms[:0]
 	m.cnt.stepsOut.Add(int64(removed))
 	m.cnt.stepsIn.Add(int64(added))
 	w.muts = w.muts[:0]
@@ -1108,31 +1117,40 @@ func (m *Maintainer) HubEstimate(v graph.NodeID) float64 {
 // absent.
 func (m *Maintainer) AuthorityAll() map[graph.NodeID]float64 {
 	m.soc.CountFetch()
-	return normalizedCounts(m.walks.PendingVisitCounts(walkstore.SideBackward))
+	return m.pendingScores(walkstore.SideBackward)
 }
 
 // HubAll returns the full global hub score vector as one
 // per-stripe-consistent snapshot. Nodes with no hub-side visits are absent.
 func (m *Maintainer) HubAll() map[graph.NodeID]float64 {
 	m.soc.CountFetch()
-	return normalizedCounts(m.walks.PendingVisitCounts(walkstore.SideForward))
+	return m.pendingScores(walkstore.SideForward)
+}
+
+// pendingScores returns every node's share of the stored visits pending a
+// dir step: one pass over the sided counters, normalized in place by the
+// total the pass summed.
+func (m *Maintainer) pendingScores(dir walkstore.Side) map[graph.NodeID]float64 {
+	scores := make(map[graph.NodeID]float64)
+	var total int64
+	m.walks.EachPendingVisitCount(dir, func(v graph.NodeID, x int64) {
+		scores[v] = float64(x)
+		total += x
+	})
+	for v, x := range scores {
+		scores[v] = x / float64(total)
+	}
+	return scores
 }
 
 // TopKAuthorities returns the k highest global authority scores, descending,
-// ties toward lower IDs.
+// ties toward lower IDs, streaming the authority-side counters instead of
+// copying the table.
 func (m *Maintainer) TopKAuthorities(k int) []topk.Item {
-	return topk.TopK(m.AuthorityAll(), k)
-}
-
-func normalizedCounts(counts map[graph.NodeID]int64, total int64) map[graph.NodeID]float64 {
-	scores := make(map[graph.NodeID]float64, len(counts))
-	if total == 0 {
-		return scores
-	}
-	for v, x := range counts {
-		scores[v] = float64(x) / float64(total)
-	}
-	return scores
+	m.soc.CountFetch()
+	return topk.TopKShares(k, func(yield func(graph.NodeID, int64)) {
+		m.walks.EachPendingVisitCount(walkstore.SideBackward, yield)
+	})
 }
 
 // Counters returns a snapshot of the update-path accounting.

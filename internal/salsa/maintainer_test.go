@@ -3,12 +3,14 @@ package salsa
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"fastppr/internal/exact"
 	"fastppr/internal/gen"
 	"fastppr/internal/graph"
 	"fastppr/internal/socialstore"
+	"fastppr/internal/topk"
 )
 
 const oracleTol = 1e-11
@@ -87,6 +89,15 @@ func TestStreamConvergesToOracle(t *testing.T) {
 	}
 	if d := exact.L1(mt.HubAll(), hub); d > 0.2 {
 		t.Fatalf("streamed hub L1 vs oracle=%v", d)
+	}
+
+	// TopKAuthorities streams raw counts and divides the survivors; the
+	// result must be bit-identical, scores and order, to ranking the full
+	// vector.
+	for _, k := range []int{10, 10 * n} {
+		if got, want := mt.TopKAuthorities(k), topk.TopK(mt.AuthorityAll(), k); !slices.Equal(got, want) {
+			t.Fatalf("TopKAuthorities(%d) differs from ranking AuthorityAll:\ngot  %v\nwant %v", k, got, want)
+		}
 	}
 
 	// A maintainer bootstrapped on the final graph must land on the same

@@ -63,6 +63,28 @@ func (c *Collector) Items() []Item {
 	return out
 }
 
+// TopKShares returns the k largest shares x/total of a stream of positive
+// integer counts, descending, where total is the sum of the whole stream:
+// each calls yield once per (node, count). The counts go through the
+// collector raw and only the k survivors are divided, so no score table is
+// built; scores and order are bit-identical to TopK over a map of
+// float64(x)/float64(total), because dividing by a positive constant is
+// monotone, and strictly so for counts below 2^52, whose relative gaps exceed
+// a float64 rounding step.
+func TopKShares(k int, each func(yield func(node graph.NodeID, x int64))) []Item {
+	c := New(k)
+	var total int64
+	each(func(node graph.NodeID, x int64) {
+		c.Offer(node, float64(x))
+		total += x
+	})
+	items := c.Items()
+	for i := range items {
+		items[i].Score /= float64(total)
+	}
+	return items
+}
+
 // TopK returns the k highest-scoring entries of scores, descending.
 func TopK(scores map[graph.NodeID]float64, k int) []Item {
 	c := New(k)

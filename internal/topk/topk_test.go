@@ -127,3 +127,40 @@ func TestTopKMatchesFullSort(t *testing.T) {
 		}
 	}
 }
+
+// TestTopKSharesMatchesTopK pins the streamed form: ranking raw counts and
+// dividing the survivors must give bit-identical scores and order to ranking
+// the normalized score map, ties and k beyond the stream included.
+func TestTopKSharesMatchesTopK(t *testing.T) {
+	rng := rand.New(rand.NewPCG(31, 0))
+	counts := make(map[graph.NodeID]int64, 300)
+	var total int64
+	for i := 0; i < 300; i++ {
+		x := int64(1 + rng.IntN(40)) // many ties
+		counts[graph.NodeID(i)] = x
+		total += x
+	}
+	scores := make(map[graph.NodeID]float64, len(counts))
+	for v, x := range counts {
+		scores[v] = float64(x) / float64(total)
+	}
+	each := func(yield func(graph.NodeID, int64)) {
+		for v, x := range counts {
+			yield(v, x)
+		}
+	}
+	for _, k := range []int{1, 25, 1000} {
+		got, want := TopKShares(k, each), TopK(scores, k)
+		if len(got) != len(want) {
+			t.Fatalf("k=%d: %d items, want %d", k, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("k=%d item %d: %+v, want %+v", k, i, got[i], want[i])
+			}
+		}
+	}
+	if got := TopKShares(5, func(func(graph.NodeID, int64)) {}); len(got) != 0 {
+		t.Fatalf("empty stream ranked %d items", len(got))
+	}
+}

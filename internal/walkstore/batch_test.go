@@ -160,22 +160,22 @@ func TestReplaceTailBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestReplaceTailBatchHubBoundary pushes one (node, dir) pending bucket
-// across the hubThreshold map upgrade inside a single batch and checks the
-// result against the sequential path — the transient bucket lengths during
-// the grouped apply differ from the sequential ones, so the upgrade decision
-// is the one place the two code paths could diverge.
-func TestReplaceTailBatchHubBoundary(t *testing.T) {
+// TestReplaceTailBatchChunkedBucket drives one (node, dir) pending bucket
+// 0 -> 3*chunkCap -> 0 inside single ReplaceTailBatch calls and checks the
+// result against the sequential path — the grouped apply visits the bucket
+// in a different order than the sequential one, so chunk splits and drains
+// land differently while the contents must not.
+func TestReplaceTailBatchChunkedBucket(t *testing.T) {
 	const hub = graph.NodeID(3)
+	const n = 3 * chunkCap
 	seq, bat := New(), New()
 	var live []SegmentID
 	var muts []TailMutation
-	// Seed 2*hubThreshold forward-sided segments [x, i] that do not touch hub,
-	// then batch-rewrite every tail to [hub] so each contributes one pending
+	// Seed n forward-sided segments [x, i] that do not touch hub, then
+	// batch-rewrite every tail to [hub] so each contributes one pending
 	// entry at hub (position 1 of a forward segment is backward-pending — the
-	// sides alternate): the bucket goes 0 -> 2*hubThreshold in one
-	// ReplaceTailBatch call, crossing the upgrade boundary mid-apply.
-	for i := 0; i < 2*hubThreshold; i++ {
+	// sides alternate).
+	for i := 0; i < n; i++ {
 		p := []graph.NodeID{graph.NodeID(100 + i), graph.NodeID(5000 + i)}
 		id := seq.AddSided(slices.Clone(p), SideForward)
 		bat.AddSided(slices.Clone(p), SideForward)
@@ -186,24 +186,24 @@ func TestReplaceTailBatchHubBoundary(t *testing.T) {
 		seq.ReplaceTail(m.ID, m.Keep, m.NewTail)
 	}
 	bat.ReplaceTailBatch(muts)
-	if px := &bat.stripe(hub).node(hub).pending[int(SideBackward)]; px.m == nil {
-		t.Fatalf("batched bucket did not upgrade to map past %d entries", hubThreshold)
+	px := &bat.stripe(hub).node(hub).pending[int(SideBackward)]
+	if px.hub == nil || px.len() != n {
+		t.Fatalf("batched bucket: directory=%v with %d entries, want a directory of %d", px.hub != nil, px.len(), n)
 	}
-	requireStoresEqual(t, seq, bat, live, 1)
-	hits := bat.PendingPositions(hub, SideBackward)
-	if len(hits) != 2*hubThreshold {
-		t.Fatalf("hub bucket has %d hits, want %d", len(hits), 2*hubThreshold)
-	}
-	// And back down: batch-truncate all but one away, again in one call.
+	requireStoresEqual(t, seq, bat, live, int(hub)+1)
+	// And back down to nothing, again in one call.
 	muts = muts[:0]
-	for _, id := range live[:2*hubThreshold-1] {
+	for _, id := range live {
 		muts = append(muts, TailMutation{ID: id, Keep: 1, NewTail: nil})
 	}
 	for _, m := range muts {
 		seq.ReplaceTail(m.ID, m.Keep, m.NewTail)
 	}
 	bat.ReplaceTailBatch(muts)
-	requireStoresEqual(t, seq, bat, live, 1)
+	if got := bat.PendingPositions(hub, SideBackward); len(got) != 0 {
+		t.Fatalf("drained bucket still has %d hits", len(got))
+	}
+	requireStoresEqual(t, seq, bat, live, int(hub)+1)
 }
 
 // TestReplaceTailBatchPanics pins the bulk API's validation: a bad entry
@@ -220,13 +220,13 @@ func TestReplaceTailBatchPanics(t *testing.T) {
 // through the batch API: randomized clumps of tail mutations are applied
 // sequentially to one store and as one batch to its twin, with every
 // pending-position bucket cross-checked against the full-path enumeration
-// and both stores validated as they drift through hub upgrades, removals,
+// and both stores validated as they drift through chunk splits, removals,
 // and periodic compactions.
 func TestFuzzBatchAgainstSequential(t *testing.T) {
 	rng := rand.New(rand.NewPCG(23, 0))
 	seq, bat := New(), New()
 	var live []SegmentID
-	const nodeSpace = 12 // tiny, so buckets cross hubThreshold
+	const nodeSpace = 12
 	randPath := func() []graph.NodeID {
 		p := make([]graph.NodeID, 1+rng.IntN(6))
 		for i := range p {

@@ -30,10 +30,14 @@
 // candidate order the pre-index scans used (ascending segment, then
 // position — the order first-switch indices are drawn over). The buckets
 // hold one entry per visit and double as the inverted visitor index
-// (Visitors and W derive from them). Ordinary nodes keep a bucket as a
-// pointer-free sorted slice of packed seg<<32|pos words; past hubThreshold
-// entries it upgrades to a per-segment position map. See
-// docs/DESIGN.md#7-the-pending-position-index for the full argument.
+// (Visitors and W derive from them). A bucket is one ascending sequence of
+// packed seg<<32|pos words cut into pointer-free chunks of at most chunkCap:
+// an ordinary node is a single chunk, a plain sorted slice; a hub keeps a
+// directory of chunks plus a parallel array of their first words, so an
+// update searches twice and memmoves at most one chunk, an enumeration is a
+// linear sweep, an emptied chunk is freed and a bulk load leaves chunks
+// full. See docs/DESIGN.md#7-the-pending-position-index for the invariants
+// and the measurements behind the chunk capacity.
 //
 // Sided segments. SALSA (Sections 2.3 and 5) stores alternating walks; a
 // segment can be tagged with the direction of its first step (AddSided).

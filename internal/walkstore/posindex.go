@@ -56,8 +56,8 @@ func bucketOf(dir Side) int {
 }
 
 // packEntry encodes one index entry as seg<<32 | pos. Numeric order of the
-// packed word is exactly (seg, pos) lexicographic order, so the list
-// representation sorts, searches, and moves single machine words. Segment
+// packed word is exactly (seg, pos) lexicographic order, so a bucket sorts,
+// searches, and moves single machine words. Segment
 // IDs are dense from 0 and positions are bounded by path length, so both
 // comfortably fit 32 bits; the guard documents the limit rather than
 // silently corrupting past it.
@@ -72,138 +72,182 @@ func unpackEntry(e uint64) PosHit {
 	return PosHit{Seg: SegmentID(e >> 32), Pos: int32(uint32(e))}
 }
 
+// chunkCap bounds one chunk of a pending-position bucket: 256 packed words,
+// 2 KiB. An insert or delete memmoves at most one chunk, so the constant
+// trades that memmove against directory length; BenchmarkPosIndex* is the
+// evidence (128, 256 and 512 were tried — see docs/DESIGN.md §7).
+const chunkCap = 256
+
 // posIndex is the pending-position set of one (node, bucket): the exact
 // (segment, position) pairs where a stored visit to the node is pending a
-// step in the bucket's direction. Ordinary nodes keep a sorted slice of
-// packed seg<<32|pos words — pointer-free (the GC never scans it),
-// append-dominated (fresh segments carry the largest IDs), one short
-// memmove on a mid-list insert — and upgrade to a per-segment map once the
-// entry count crosses hubThreshold, where the memmove would be tens of
-// kilobytes per update. Exactly one representation is active at a time;
-// there is no downgrade. The zero value is an empty index.
+// step in the bucket's direction, as one ascending sequence of packed
+// seg<<32|pos words cut into chunks of at most chunkCap. An ordinary node is
+// the single chunk list — pointer-free (the GC never scans it),
+// append-dominated (fresh segments carry the largest IDs), one short memmove
+// on a mid-list insert. A bucket that outgrows one chunk moves its chunks
+// into a chunkDir and comes back to a plain list when all but one of them
+// have drained. The zero value is an empty index.
 type posIndex struct {
-	list []uint64              // packed entries, sorted; active while m == nil
-	m    map[SegmentID][]int32 // hub mode: per-segment sorted position lists
-	n    int                   // total entries across either representation
+	list []uint64  // the only chunk; nil while hub != nil
+	hub  *chunkDir // two or more chunks
+}
+
+// chunkDir is a hub bucket's chunk directory. Every chunk is non-empty,
+// sorted, at most chunkCap long, and ends below the next chunk's first word;
+// firsts[i] == chunks[i][0] is the pointer-free copy the directory search
+// runs over.
+type chunkDir struct {
+	firsts []uint64
+	chunks [][]uint64
+}
+
+func (px *posIndex) len() (n int) {
+	px.eachChunk(func(c []uint64) { n += len(c) })
+	return n
 }
 
 func (px *posIndex) add(seg SegmentID, pos int32) {
-	px.n++
-	if px.m != nil {
-		ps := px.m[seg]
-		// Fast path: a fresh segment's visits arrive in ascending position
-		// order, so per-segment lists grow at the end.
-		if len(ps) == 0 || ps[len(ps)-1] < pos {
-			px.m[seg] = append(ps, pos)
+	e := packEntry(seg, pos)
+	if px.hub == nil {
+		if len(px.list) < chunkCap {
+			px.list = insertEntry(px.list, e)
 			return
 		}
-		i, found := slices.BinarySearch(ps, pos)
-		if found {
-			panic(fmt.Sprintf("walkstore: duplicate pending position (%d,%d)", seg, pos))
-		}
-		px.m[seg] = slices.Insert(ps, i, pos)
-		return
-	}
-	e := packEntry(seg, pos)
-	// Fast path: fresh segments carry the largest ID yet, so bulk loads and
-	// reroute tails append at the end of the sorted list.
-	if n := len(px.list); n == 0 || px.list[n-1] < e {
-		px.list = append(px.list, e)
-	} else {
-		i, found := slices.BinarySearch(px.list, e)
-		if found {
-			panic(fmt.Sprintf("walkstore: duplicate pending position (%d,%d)", seg, pos))
-		}
-		px.list = slices.Insert(px.list, i, e)
-	}
-	if len(px.list) > hubThreshold {
-		px.m = make(map[SegmentID][]int32, 2*len(px.list))
-		for _, e := range px.list {
-			h := unpackEntry(e)
-			px.m[h.Seg] = append(px.m[h.Seg], h.Pos)
-		}
+		px.hub = &chunkDir{firsts: []uint64{px.list[0]}, chunks: [][]uint64{px.list}}
 		px.list = nil
 	}
+	px.hub.add(e)
 }
 
 // remove drops one entry.
 func (px *posIndex) remove(seg SegmentID, pos int32) {
-	if px.m != nil {
-		ps := px.m[seg]
-		if len(ps) == 1 && ps[0] == pos {
-			delete(px.m, seg)
-			px.n--
-			return
-		}
-		// Fast path: ReplaceTail unwinds a tail from its end, so the removed
-		// position is usually the segment's largest.
-		if n := len(ps); n > 0 && ps[n-1] == pos {
-			px.m[seg] = ps[:n-1]
-			px.n--
-			return
-		}
-		i, found := slices.BinarySearch(ps, pos)
-		if !found {
-			panic(fmt.Sprintf("walkstore: removing absent pending position (%d,%d)", seg, pos))
-		}
-		// len(ps) >= 2 here: a single-entry list was fully handled above.
-		px.m[seg] = slices.Delete(ps, i, i+1)
-		px.n--
-		return
-	}
 	e := packEntry(seg, pos)
-	// Fast path: ReplaceTail unwinds a tail from its end, so the removed
-	// entry is often the list's last.
-	if n := len(px.list); n > 0 && px.list[n-1] == e {
-		px.list = px.list[:n-1]
-		px.n--
+	if px.hub == nil {
+		px.list = removeEntry(px.list, e)
 		return
 	}
-	i, found := slices.BinarySearch(px.list, e)
-	if !found {
-		panic(fmt.Sprintf("walkstore: removing absent pending position (%d,%d)", seg, pos))
+	px.hub.remove(e)
+	if len(px.hub.chunks) == 1 {
+		px.list, px.hub = px.hub.chunks[0], nil
 	}
-	px.list = slices.Delete(px.list, i, i+1)
-	px.n--
 }
 
-// appendTo appends every entry to dst in (seg, pos) order. The slice
-// representation is already sorted; the map representation sorts its
-// segment keys (cheap integer sort over distinct segments) and emits each
-// segment's already-sorted position list.
+// insertEntry inserts e into the sorted chunk c.
+func insertEntry(c []uint64, e uint64) []uint64 {
+	// Fast path: fresh segments carry the largest ID yet, so bulk loads and
+	// reroute tails append at the end.
+	if n := len(c); n == 0 || c[n-1] < e {
+		return append(c, e)
+	}
+	i, found := slices.BinarySearch(c, e)
+	if found {
+		h := unpackEntry(e)
+		panic(fmt.Sprintf("walkstore: duplicate pending position (%d,%d)", h.Seg, h.Pos))
+	}
+	return slices.Insert(c, i, e)
+}
+
+// removeEntry deletes e from the sorted chunk c.
+func removeEntry(c []uint64, e uint64) []uint64 {
+	// Fast path: ReplaceTail unwinds a tail from its end, so the removed
+	// entry is often the last.
+	if n := len(c); n > 0 && c[n-1] == e {
+		return c[:n-1]
+	}
+	i, found := slices.BinarySearch(c, e)
+	if !found {
+		h := unpackEntry(e)
+		panic(fmt.Sprintf("walkstore: removing absent pending position (%d,%d)", h.Seg, h.Pos))
+	}
+	return slices.Delete(c, i, i+1)
+}
+
+// find returns the index of the chunk whose range holds e: the last chunk
+// starting at or below e, or chunk 0 when e sorts before everything.
+func (d *chunkDir) find(e uint64) int {
+	// Fast path: bulk loads append to, and tail unwinds remove from, the
+	// last chunk.
+	if last := len(d.firsts) - 1; d.firsts[last] <= e {
+		return last
+	}
+	i, found := slices.BinarySearch(d.firsts, e)
+	if found || i == 0 {
+		return i
+	}
+	return i - 1
+}
+
+func (d *chunkDir) add(e uint64) {
+	i := d.find(e)
+	if c := d.chunks[i]; len(c) == chunkCap {
+		if i == len(d.chunks)-1 && c[chunkCap-1] < e {
+			// An append at the very end starts a fresh chunk instead of
+			// halving, so bulk loads leave every chunk behind them full.
+			d.insertChunk(i+1, append(make([]uint64, 0, chunkCap), e))
+			return
+		}
+		right := append(make([]uint64, 0, chunkCap), c[chunkCap/2:]...)
+		d.chunks[i] = c[:chunkCap/2]
+		d.insertChunk(i+1, right)
+		if right[0] <= e {
+			i++
+		}
+	}
+	d.chunks[i] = insertEntry(d.chunks[i], e)
+	d.firsts[i] = d.chunks[i][0]
+}
+
+func (d *chunkDir) insertChunk(i int, c []uint64) {
+	d.firsts = slices.Insert(d.firsts, i, c[0])
+	d.chunks = slices.Insert(d.chunks, i, c)
+}
+
+func (d *chunkDir) remove(e uint64) {
+	i := d.find(e)
+	c := removeEntry(d.chunks[i], e)
+	if len(c) == 0 {
+		// An emptied chunk is freed, not kept for reuse.
+		d.firsts = slices.Delete(d.firsts, i, i+1)
+		d.chunks = slices.Delete(d.chunks, i, i+1)
+		return
+	}
+	d.chunks[i], d.firsts[i] = c, c[0]
+}
+
+// eachChunk calls fn on every chunk in ascending order.
+func (px *posIndex) eachChunk(fn func(c []uint64)) {
+	if px.hub == nil {
+		fn(px.list)
+		return
+	}
+	for _, c := range px.hub.chunks {
+		fn(c)
+	}
+}
+
+// appendTo appends every entry to dst in (seg, pos) order: one linear sweep
+// over the chunks, no sort and — given capacity in dst — no allocation.
 func (px *posIndex) appendTo(dst []PosHit) []PosHit {
-	if px.m == nil {
-		for _, e := range px.list {
-			dst = append(dst, unpackEntry(e))
-		}
-		return dst
-	}
-	segs := make([]SegmentID, 0, len(px.m))
-	//lint:allow determinism key collection only; segs is sorted on the next line before any emission
-	for seg := range px.m {
-		segs = append(segs, seg)
-	}
-	slices.Sort(segs)
-	for _, seg := range segs {
-		for _, p := range px.m[seg] {
-			dst = append(dst, PosHit{Seg: seg, Pos: p})
-		}
+	px.eachChunk(func(c []uint64) { dst = appendHits(dst, c) })
+	return dst
+}
+
+func appendHits(dst []PosHit, c []uint64) []PosHit {
+	for _, e := range c {
+		dst = append(dst, unpackEntry(e))
 	}
 	return dst
 }
 
-// appendSegs appends the bucket's distinct segment IDs to dst, unordered
-// (ascending in slice mode, map order in hub mode). Callers sort and
-// deduplicate across buckets.
+// appendSegs appends the bucket's distinct segment IDs to dst, ascending.
+// Callers sort and deduplicate across buckets.
 func (px *posIndex) appendSegs(dst []SegmentID) []SegmentID {
-	if px.m != nil {
-		//lint:allow determinism unordered by contract; every caller sorts and dedups dst across buckets
-		for seg := range px.m {
-			dst = append(dst, seg)
-		}
-		return dst
-	}
-	for _, e := range px.list {
+	px.eachChunk(func(c []uint64) { dst = appendDistinctSegs(dst, c) })
+	return dst
+}
+
+func appendDistinctSegs(dst []SegmentID, c []uint64) []SegmentID {
+	for _, e := range c {
 		if seg := SegmentID(e >> 32); len(dst) == 0 || dst[len(dst)-1] != seg {
 			dst = append(dst, seg)
 		}

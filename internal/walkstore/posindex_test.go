@@ -3,6 +3,7 @@ package walkstore
 import (
 	"math/rand/v2"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -30,15 +31,14 @@ func brutePending(s *Store, live []SegmentID, v graph.NodeID, dir Side) []PosHit
 }
 
 // TestPendingPositionsBruteForce drives randomized Add/AddSided/AddBatch/
-// ReplaceTail/Remove churn over a small node space (so buckets cross the
-// hub-upgrade boundary at hubThreshold entries and shrink back) and
-// cross-checks every bucket of every touched node against the full-path
+// ReplaceTail/Remove churn over a small node space (so every bucket is hit
+// by interleaved adds and removes) and cross-checks every bucket of every touched node against the full-path
 // enumeration after each mutation, with periodic full Validates.
 func TestPendingPositionsBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewPCG(17, 0))
 	s := New()
 	var live []SegmentID
-	const nodeSpace = 12 // tiny, so single nodes accumulate > hubThreshold entries
+	const nodeSpace = 12
 	randPath := func() []graph.NodeID {
 		p := make([]graph.NodeID, 1+rng.IntN(6))
 		for i := range p {
@@ -95,42 +95,258 @@ func TestPendingPositionsBruteForce(t *testing.T) {
 	}
 }
 
-// TestPosIndexHubBoundary pins the representation upgrade: pushing one
-// (node, dir) bucket past hubThreshold entries must flip it to the map
-// representation with identical contents, and removals below the boundary
-// must keep it exact (no downgrade, like the visitor index).
-func TestPosIndexHubBoundary(t *testing.T) {
-	s := New()
-	const hub = graph.NodeID(5)
-	var ids []SegmentID
-	// Each forward-sided path [hub, i] contributes one forward-pending entry
-	// (position 0) at hub.
-	for i := 0; i < 2*hubThreshold; i++ {
-		ids = append(ids, s.AddSided([]graph.NodeID{hub, graph.NodeID(100 + i)}, SideForward))
-		hits := s.PendingPositions(hub, SideForward)
-		if len(hits) != i+1 {
-			t.Fatalf("after %d adds: %d hits", i+1, len(hits))
-		}
-		if !slices.IsSortedFunc(hits, comparePosHit) {
-			t.Fatalf("hits unsorted after %d adds", i+1)
-		}
+// chunkLens returns the lengths of px's chunks in order (the single list
+// counts as one chunk).
+func chunkLens(px *posIndex) []int {
+	var lens []int
+	px.eachChunk(func(c []uint64) { lens = append(lens, len(c)) })
+	return lens
+}
+
+// requirePosIndex checks px against the sorted model: same enumeration, same
+// distinct segments, and every structural invariant Validate enforces.
+func requirePosIndex(t testing.TB, px *posIndex, model []uint64) {
+	t.Helper()
+	want := make(map[PosHit]bool, len(model))
+	var hits []PosHit
+	for _, e := range model {
+		hits = append(hits, unpackEntry(e))
+		want[unpackEntry(e)] = true
 	}
-	px := &s.stripe(hub).node(hub).pending[int(SideForward)]
-	if px.m == nil {
-		t.Fatalf("bucket did not upgrade to map past %d entries", hubThreshold)
+	if got := px.appendTo(nil); !slices.Equal(got, hits) {
+		t.Fatalf("enumeration diverged from model:\ngot  %v\nwant %v", got, hits)
 	}
-	if err := s.Validate(); err != nil {
+	if got, want := px.appendSegs(nil), DistinctSegments(nil, hits); !slices.Equal(got, want) {
+		t.Fatalf("appendSegs=%v want %v", got, want)
+	}
+	if err := validatePosIndex(0, 0, px, want); err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range ids[:2*hubThreshold-1] {
-		s.Remove(id)
+}
+
+// TestPosIndexSplitAtCapacity pins the promotion: a bucket is one plain list
+// up to exactly chunkCap entries, and the next mid-list insert halves it into
+// a two-chunk directory.
+func TestPosIndexSplitAtCapacity(t *testing.T) {
+	var px posIndex
+	var model []uint64
+	// Even segments descending, so every add is a front insert and none takes
+	// the append fast path.
+	for i := chunkCap; i > 0; i-- {
+		px.add(SegmentID(2*i), 0)
+		model = append(model, packEntry(SegmentID(2*i), 0))
 	}
-	hits := s.PendingPositions(hub, SideForward)
-	if len(hits) != 1 || hits[0].Seg != ids[2*hubThreshold-1] {
-		t.Fatalf("after removals: %v", hits)
+	slices.Sort(model)
+	if px.hub != nil || len(px.list) != chunkCap {
+		t.Fatalf("at capacity: hub=%v, list has %d entries, want one chunk of %d", px.hub != nil, len(px.list), chunkCap)
 	}
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
+	requirePosIndex(t, &px, model)
+	px.add(SegmentID(chunkCap+3), 0) // odd: lands mid-list, just right of the split point
+	model = append(model, packEntry(SegmentID(chunkCap+3), 0))
+	slices.Sort(model)
+	if got, want := chunkLens(&px), []int{chunkCap / 2, chunkCap/2 + 1}; px.hub == nil || !slices.Equal(got, want) {
+		t.Fatalf("past capacity: chunk lengths %v, want %v", got, want)
+	}
+	requirePosIndex(t, &px, model)
+}
+
+// TestPosIndexAppendOverflowKeepsChunksFull pins the bulk-load rule: an
+// append past the end of a full last chunk starts a fresh chunk instead of
+// halving, so every chunk behind the last stays full.
+func TestPosIndexAppendOverflowKeepsChunksFull(t *testing.T) {
+	var px posIndex
+	var model []uint64
+	for i := 0; i < 3*chunkCap+1; i++ {
+		px.add(SegmentID(i/4), int32(i%4))
+		model = append(model, packEntry(SegmentID(i/4), int32(i%4)))
+	}
+	if got, want := chunkLens(&px), []int{chunkCap, chunkCap, chunkCap, 1}; !slices.Equal(got, want) {
+		t.Fatalf("chunk lengths %v, want %v", got, want)
+	}
+	requirePosIndex(t, &px, model)
+}
+
+// TestPosIndexDrainCollapses pins the way back down: a chunk whose last
+// entry goes is removed from the directory, the directory collapses to a
+// plain list when one chunk is left, and the bucket ends empty.
+func TestPosIndexDrainCollapses(t *testing.T) {
+	var px posIndex
+	var model []uint64
+	for i := 0; i < 3*chunkCap; i++ {
+		px.add(SegmentID(i), 0)
+		model = append(model, packEntry(SegmentID(i), 0))
+	}
+	drain := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			px.remove(SegmentID(i), 0)
+		}
+	}
+	drain(chunkCap, 2*chunkCap) // the middle chunk, front to back
+	model = slices.Delete(model, chunkCap, 2*chunkCap)
+	if got, want := chunkLens(&px), []int{chunkCap, chunkCap}; px.hub == nil || !slices.Equal(got, want) {
+		t.Fatalf("middle chunk drained: chunk lengths %v, want %v", got, want)
+	}
+	requirePosIndex(t, &px, model)
+	drain(0, chunkCap)
+	model = model[chunkCap:]
+	if px.hub != nil || len(px.list) != chunkCap {
+		t.Fatalf("one chunk left: hub=%v, list has %d entries, want a plain list of %d", px.hub != nil, len(px.list), chunkCap)
+	}
+	requirePosIndex(t, &px, model)
+	drain(2*chunkCap, 3*chunkCap)
+	if px.hub != nil || px.len() != 0 {
+		t.Fatalf("drained bucket holds %d entries", px.len())
+	}
+	requirePosIndex(t, &px, nil)
+}
+
+// runPosIndexOps interprets data as a sequence of three-byte operations
+// (kind, a, b) applied both to a posIndex and to a plain sorted slice, and
+// compares the two after every operation. It is the body of FuzzPosIndex and
+// of the fixed-seed interleaving test.
+//
+//	kind%5 == 0  add (seg a, pos b) unless present
+//	kind%5 == 1  remove the model's entry at index (a<<8|b) mod len
+//	kind%5 == 2  append a run of b+1 entries under a fresh largest segment
+//	kind%5 == 3  add the successor of the entry at index (a<<8|b) mod len
+//	kind%5 == 4  drain b+1 consecutive entries starting a/256 of the way in
+//
+// A kind of 0xf0 or above also runs the full structural check.
+func runPosIndexOps(t testing.TB, data []byte) {
+	var px posIndex
+	var model []uint64
+	add := func(e uint64) {
+		i, found := slices.BinarySearch(model, e)
+		if found {
+			return
+		}
+		model = slices.Insert(model, i, e)
+		h := unpackEntry(e)
+		px.add(h.Seg, h.Pos)
+	}
+	removeAt := func(i int) {
+		h := unpackEntry(model[i])
+		model = slices.Delete(model, i, i+1)
+		px.remove(h.Seg, h.Pos)
+	}
+	var hits []PosHit
+	for ; len(data) >= 3; data = data[3:] {
+		kind, a, b := data[0], int(data[1]), int(data[2])
+		switch kind % 5 {
+		case 0:
+			add(packEntry(SegmentID(a), int32(b)))
+		case 1:
+			if len(model) > 0 {
+				removeAt((a<<8 | b) % len(model))
+			}
+		case 2:
+			seg := SegmentID(0)
+			if len(model) > 0 {
+				seg = unpackEntry(model[len(model)-1]).Seg + 1
+			}
+			for pos := 0; pos <= b; pos++ {
+				add(packEntry(seg, int32(pos)))
+			}
+		case 3:
+			if len(model) > 0 {
+				if e := model[(a<<8|b)%len(model)]; uint32(e) != 1<<31-1 {
+					add(e + 1)
+				}
+			}
+		case 4:
+			lo := a * len(model) / 256
+			drained := slices.Clone(model[lo:min(lo+b+1, len(model))])
+			model = slices.Delete(model, lo, lo+len(drained))
+			for _, e := range drained {
+				px.remove(unpackEntry(e).Seg, unpackEntry(e).Pos)
+			}
+		}
+		if px.len() != len(model) {
+			t.Fatalf("index holds %d entries, model %d", px.len(), len(model))
+		}
+		hits = px.appendTo(hits[:0])
+		for i, h := range hits {
+			if h != unpackEntry(model[i]) {
+				t.Fatalf("entry %d is (%d,%d), model says (%d,%d)", i, h.Seg, h.Pos, unpackEntry(model[i]).Seg, unpackEntry(model[i]).Pos)
+			}
+		}
+		if kind >= 0xf0 {
+			requirePosIndex(t, &px, model)
+		}
+	}
+	requirePosIndex(t, &px, model)
+}
+
+// TestPosIndexInterleavedAgainstModel drives a long fixed-seed mix of every
+// operation kind — the bucket grows to some fourteen thousand entries over
+// more than a hundred chunks, range drains leaving many of them sparse —
+// against the sorted-slice model.
+func TestPosIndexInterleavedAgainstModel(t *testing.T) {
+	rng := rand.New(rand.NewPCG(29, 0))
+	data := make([]byte, 3*4000)
+	for i := range data {
+		data[i] = byte(rng.IntN(256))
+	}
+	runPosIndexOps(t, data)
+}
+
+// FuzzPosIndex lets the Go fuzzer mutate the operation sequence; the seed
+// corpus under testdata/fuzz/FuzzPosIndex covers bulk load, split, drain and
+// collapse.
+func FuzzPosIndex(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 0, 1, 3, 1, 0, 0})
+	f.Add([]byte{2, 0, 255, 2, 0, 255, 3, 0, 7, 0xf4, 0, 255})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Every operation is checked with a full enumeration, so an input's
+		// cost is quadratic in its length; 512 operations reach 500 chunks.
+		runPosIndexOps(t, data[:min(len(data), 3*512)])
+	})
+}
+
+// TestValidateRejectsCorruptDirectory hand-corrupts a hub bucket's chunk
+// directory in each way the chunked layout can go wrong and requires
+// Validate to name the damage.
+func TestValidateRejectsCorruptDirectory(t *testing.T) {
+	const hub = graph.NodeID(9)
+	build := func() (*Store, *chunkDir) {
+		s := New()
+		for i := 0; i < 3*chunkCap; i++ {
+			s.Add([]graph.NodeID{hub, graph.NodeID(100 + i)})
+		}
+		if err := s.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		d := s.stripe(hub).node(hub).pending[unsidedBucket].hub
+		if d == nil || len(d.chunks) != 3 {
+			t.Fatalf("hub bucket is not a three-chunk directory: %+v", d)
+		}
+		return s, d
+	}
+	for _, tc := range []struct {
+		name, want string
+		corrupt    func(d *chunkDir)
+	}{
+		{"firsts mismatch", "firsts[1] does not match", func(d *chunkDir) { d.firsts[1]++ }},
+		{"unsorted across a chunk boundary", "not strictly sorted", func(d *chunkDir) {
+			last := len(d.chunks[0]) - 1
+			d.chunks[0][last], d.chunks[1][0] = d.chunks[1][0], d.chunks[0][last]
+			d.firsts[1] = d.chunks[1][0]
+		}},
+		{"empty chunk", "chunk 1 has 0 entries", func(d *chunkDir) {
+			d.firsts = slices.Insert(d.firsts, 1, d.firsts[1])
+			d.chunks = slices.Insert(d.chunks, 1, []uint64{})
+		}},
+		{"lone chunk left in the directory", "directory malformed", func(d *chunkDir) {
+			d.firsts, d.chunks = d.firsts[:1], [][]uint64{slices.Concat(d.chunks...)}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, d := build()
+			tc.corrupt(d)
+			if err := s.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Validate() = %v, want an error containing %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -86,16 +86,6 @@ type segRef struct {
 	live bool
 }
 
-// hubThreshold is the entry count at which a pending-position bucket's
-// sorted slice upgrades to a map. The slice is a pointer-free value array —
-// the GC never scans it, appends dominate (fresh segments carry the largest
-// IDs), and a mid-list insert is one short memmove — so it stays ahead of a
-// map well past the typical node's ~2·R·L/2 entries; only genuine hubs with
-// thousands of pending visits need the map's O(1) updates, paying its
-// pointer-ful buckets and write barriers where the memmove would be tens of
-// kilobytes.
-const hubThreshold = 1024
-
 const (
 	// stripeBits selects the counter stripe from a node ID's low bits;
 	// numStripes is the stripe count. Low-bit striping (rather than a hash)
@@ -835,31 +825,54 @@ func (s *Store) PendingTotal(dir Side) int64 {
 	return s.sidedTotals[dir].Load()
 }
 
-// PendingVisitCounts returns a copy of the full pending-visit table for one
-// direction, together with its total. Each stripe is read under its own
-// lock, so the copy is per-stripe consistent; at a quiescent point it is
-// exact, and the total is the sum of the per-stripe shares read under the
-// same locks as their counts.
-func (s *Store) PendingVisitCounts(dir Side) (counts map[graph.NodeID]int64, total int64) {
-	mustDir(dir)
-	size := 0
-	for i := range s.stripes {
-		s.stripes[i].mu.RLock()
-		size += s.stripes[i].numNodes
-		s.stripes[i].mu.RUnlock()
-	}
-	counts = make(map[graph.NodeID]int64, size)
+// eachCount calls fn(v, count(ns)) for every node whose count is non-zero,
+// stripe by stripe under each stripe's read lock.
+func (s *Store) eachCount(count func(ns *nodeState) int64, fn func(v graph.NodeID, x int64)) {
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.mu.RLock()
 		st.each(i, func(v graph.NodeID, ns *nodeState) {
-			if x := ns.sidedVisits[dir]; x != 0 {
-				counts[v] = x
+			if x := count(ns); x != 0 {
+				fn(v, x)
 			}
 		})
-		total += st.sidedTotals[dir]
 		st.mu.RUnlock()
 	}
+}
+
+// numNodes returns the number of live node states, for sizing full-table
+// copies.
+func (s *Store) numNodes() int {
+	n := 0
+	for i := range s.stripes {
+		s.stripes[i].mu.RLock()
+		n += s.stripes[i].numNodes
+		s.stripes[i].mu.RUnlock()
+	}
+	return n
+}
+
+// EachPendingVisitCount calls fn(v, x) for every node with a non-zero
+// pending-dir visit count x, in no particular order. Each stripe is read
+// under its own lock, so the pass is per-stripe consistent and exact at a
+// quiescent point; the sum of the x is then PendingTotal(dir). Nothing is
+// allocated: a reader that only ranks or sums (a top-k query) streams the
+// table instead of copying it. fn runs under a counter stripe's read lock
+// and must not call back into the store.
+func (s *Store) EachPendingVisitCount(dir Side, fn func(v graph.NodeID, x int64)) {
+	mustDir(dir)
+	s.eachCount(func(ns *nodeState) int64 { return ns.sidedVisits[dir] }, fn)
+}
+
+// PendingVisitCounts returns a copy of the full pending-visit table for one
+// direction, together with its total: EachPendingVisitCount into a map.
+func (s *Store) PendingVisitCounts(dir Side) (counts map[graph.NodeID]int64, total int64) {
+	mustDir(dir)
+	counts = make(map[graph.NodeID]int64, s.numNodes())
+	s.EachPendingVisitCount(dir, func(v graph.NodeID, x int64) {
+		counts[v] = x
+		total += x
+	})
 	return counts, total
 }
 
@@ -960,26 +973,18 @@ func (s *Store) TotalVisits() int64 {
 	return s.totalVisits.Load()
 }
 
+// EachVisitCount calls fn(v, X_v) for every node with X_v != 0: the
+// streaming form of VisitCounts, under EachPendingVisitCount's contract. The
+// sum of the X_v of a quiescent pass is TotalVisits.
+func (s *Store) EachVisitCount(fn func(v graph.NodeID, x int64)) {
+	s.eachCount(func(ns *nodeState) int64 { return ns.visits }, fn)
+}
+
 // VisitCounts returns a copy of the full X_v table, per-stripe consistent
 // (exact at quiescent points).
 func (s *Store) VisitCounts() map[graph.NodeID]int64 {
-	size := 0
-	for i := range s.stripes {
-		s.stripes[i].mu.RLock()
-		size += s.stripes[i].numNodes
-		s.stripes[i].mu.RUnlock()
-	}
-	out := make(map[graph.NodeID]int64, size)
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		st.mu.RLock()
-		st.each(i, func(v graph.NodeID, ns *nodeState) {
-			if ns.visits != 0 {
-				out[v] = ns.visits
-			}
-		})
-		st.mu.RUnlock()
-	}
+	out := make(map[graph.NodeID]int64, s.numNodes())
+	s.EachVisitCount(func(v graph.NodeID, x int64) { out[v] = x })
 	return out
 }
 
@@ -1436,7 +1441,7 @@ func (s *Store) Validate() error {
 				// a separate per-segment multiplicity check.
 				var pendingN int
 				for b := 0; b < pendingBuckets; b++ {
-					pendingN += ns.pending[b].n
+					pendingN += ns.pending[b].len()
 				}
 				if int64(pendingN) != ns.visits {
 					return fmt.Errorf("walkstore: node %d has %d pending entries for %d visits", v, pendingN, ns.visits)
@@ -1463,7 +1468,7 @@ func (s *Store) Validate() error {
 				}
 				for b := 0; b < pendingBuckets; b++ {
 					px := &ns.pending[b]
-					if px.n != 0 {
+					if px.len() != 0 {
 						nPending[b]++
 						if err := validatePosIndex(b, v, px, wantPending[b][v]); err != nil {
 							return err
@@ -1559,36 +1564,35 @@ func (s *Store) ValidateSteps(hasEdge func(from, to graph.NodeID) bool) error {
 }
 
 // validatePosIndex cross-checks one node's pending-position bucket against
-// the full-path recount: exact entry set, representation exclusivity, and
-// sorted/duplicate-free invariants in both representations.
+// the full-path recount — exact entry set, strictly ascending across every
+// chunk boundary — and checks the chunk directory's own invariants: two or
+// more chunks (a lone chunk lives in list), none empty or over chunkCap, and
+// firsts mirroring each chunk's first word.
 func validatePosIndex(b int, v graph.NodeID, px *posIndex, want map[PosHit]bool) error {
-	if px.m != nil && px.list != nil {
-		return fmt.Errorf("walkstore: pending[%d][%d] has both slice and map representations", b, v)
-	}
-	if px.n != len(want) {
-		return fmt.Errorf("walkstore: pending[%d][%d] has %d entries, want %d", b, v, px.n, len(want))
-	}
-	if px.m != nil {
-		for seg, ps := range px.m {
-			if len(ps) == 0 {
-				return fmt.Errorf("walkstore: pending[%d][%d] keeps empty position list for segment %d", b, v, seg)
+	if d := px.hub; d != nil {
+		if px.list != nil || len(d.chunks) < 2 || len(d.firsts) != len(d.chunks) {
+			return fmt.Errorf("walkstore: pending[%d][%d] directory malformed: %d chunks, %d firsts, %d list entries", b, v, len(d.chunks), len(d.firsts), len(px.list))
+		}
+		for i, c := range d.chunks {
+			if len(c) == 0 || len(c) > chunkCap {
+				return fmt.Errorf("walkstore: pending[%d][%d] chunk %d has %d entries, want 1..%d", b, v, i, len(c), chunkCap)
 			}
-			for i, p := range ps {
-				if i > 0 && ps[i-1] >= p {
-					return fmt.Errorf("walkstore: pending[%d][%d] segment %d positions not strictly sorted", b, v, seg)
-				}
-				if !want[PosHit{Seg: seg, Pos: p}] {
-					return fmt.Errorf("walkstore: pending[%d][%d] has stale entry (%d,%d)", b, v, seg, p)
-				}
+			if d.firsts[i] != c[0] {
+				return fmt.Errorf("walkstore: pending[%d][%d] firsts[%d] does not match its chunk", b, v, i)
 			}
 		}
-		return nil
+	} else if len(px.list) > chunkCap {
+		return fmt.Errorf("walkstore: pending[%d][%d] single chunk has %d entries, want <= %d", b, v, len(px.list), chunkCap)
 	}
-	for i, e := range px.list {
-		if i > 0 && px.list[i-1] >= e {
-			return fmt.Errorf("walkstore: pending[%d][%d] list not strictly sorted at %d", b, v, i)
+	hits := px.appendTo(nil)
+	if len(hits) != len(want) {
+		return fmt.Errorf("walkstore: pending[%d][%d] has %d entries, want %d", b, v, len(hits), len(want))
+	}
+	for i, h := range hits {
+		if i > 0 && comparePosHit(hits[i-1], h) >= 0 {
+			return fmt.Errorf("walkstore: pending[%d][%d] not strictly sorted at (%d,%d)", b, v, h.Seg, h.Pos)
 		}
-		if h := unpackEntry(e); !want[h] {
+		if !want[h] {
 			return fmt.Errorf("walkstore: pending[%d][%d] has stale entry (%d,%d)", b, v, h.Seg, h.Pos)
 		}
 	}

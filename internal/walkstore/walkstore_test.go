@@ -110,24 +110,24 @@ func TestPathCapClamped(t *testing.T) {
 	}
 }
 
-// TestHubVisitorSet crosses the slice->map threshold and back down.
+// TestHubVisitorSet grows one node's bucket to three chunks and back down.
 func TestHubVisitorSet(t *testing.T) {
 	s := New()
 	var ids []SegmentID
-	for i := 0; i < 3*hubThreshold; i++ {
+	for i := 0; i < 3*chunkCap; i++ {
 		ids = append(ids, s.Add(path(7, int64(1000+i))))
 	}
-	if got := s.W(7); got != 3*hubThreshold {
-		t.Fatalf("W(7)=%d want %d", got, 3*hubThreshold)
+	if got := s.W(7); got != 3*chunkCap {
+		t.Fatalf("W(7)=%d want %d", got, 3*chunkCap)
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range ids[:2*hubThreshold] {
+	for _, id := range ids[:2*chunkCap] {
 		s.Remove(id)
 	}
-	if got := s.W(7); got != hubThreshold {
-		t.Fatalf("W(7)=%d want %d", got, hubThreshold)
+	if got := s.W(7); got != chunkCap {
+		t.Fatalf("W(7)=%d want %d", got, chunkCap)
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
