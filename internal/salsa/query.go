@@ -105,9 +105,14 @@ func (q *Query) AuthorityAll() map[graph.NodeID]float64 {
 }
 
 // TopK returns the k highest personalized authority scores, descending,
-// ties toward lower IDs.
+// ties toward lower IDs: the raw visit counts streamed through the collector,
+// bit-identical to ranking AuthorityAll without building it.
 func (q *Query) TopK(k int) []topk.Item {
-	return topk.TopK(q.AuthorityAll(), k)
+	return topk.TopKShares(k, func(yield func(graph.NodeID, int64)) {
+		for v, x := range q.auth {
+			yield(v, x)
+		}
+	})
 }
 
 // Theorem8Bound is the query layer's accounting model for the paper's
@@ -125,11 +130,13 @@ func Theorem8Bound(q, stored int, eps float64) float64 {
 	return float64(bare) * 2 * (1 - eps) / eps
 }
 
-// sideKey addresses the per-query stitching cursor: stored segments of one
-// node usable when the pending step has one direction.
-type sideKey struct {
-	v graph.NodeID
-	d walkstore.Side
+// cursor is a query's stitching state at one (node, pending direction): the
+// node's stored segments usable when the pending step has that direction
+// (read once per query, so the list is a per-node snapshot) and how many of
+// them this query has consumed.
+type cursor struct {
+	seg  []walkstore.SegmentID
+	used int
 }
 
 // Personalized runs a personalized SALSA query from source: QueryWalks
@@ -215,11 +222,11 @@ func (m *Maintainer) personalized(source graph.NodeID, rng *rand.Rand) *Query {
 
 	sess := m.soc.NewSession()
 	stored := len(m.walks.OwnedSided(source, walkstore.SideForward))
-	// Stitching cursors: ids[k] lists a node's stored segments for one
-	// pending direction (read once per query, so the list is a per-node
-	// snapshot), used[k] how many this query has consumed.
-	ids := make(map[sideKey][]walkstore.SegmentID)
-	used := make(map[sideKey]int)
+	// at[dir] maps a node to its cursor's index in cursors: one int64-keyed
+	// map access per walk step, none to advance a cursor. (One map per
+	// direction rather than one keyed on node<<1|dir: IDs are full int64s.)
+	at := [2]map[graph.NodeID]int32{{}, {}}
+	var cursors []cursor
 
 	for w := 0; w < nWalks; w++ {
 		cur := source
@@ -231,19 +238,19 @@ func (m *Maintainer) personalized(source graph.NodeID, rng *rand.Rand) *Query {
 			// segment list, or its adjacency through a bare step — lands in
 			// the read footprint. Spliced path nodes are added below.
 			q.stats.StripeMask |= 1 << uint(walkstore.StripeOf(cur))
-			k := sideKey{cur, walkstore.Side(dir)}
-			seg, ok := ids[k]
+			ci, ok := at[dir][cur]
 			if !ok {
-				seg = m.walks.OwnedSided(cur, walkstore.Side(dir))
-				ids[k] = seg
+				ci = int32(len(cursors))
+				at[dir][cur] = ci
+				cursors = append(cursors, cursor{seg: m.walks.OwnedSided(cur, walkstore.Side(dir))})
 			}
-			if n := used[k]; n < len(seg) {
+			if c := &cursors[ci]; c.used < len(c.seg) {
 				// Splice: the stored segment is a full sample of the walk's
 				// remainder (it ended in a reset or a dead end), so it
 				// finishes this walk with zero store calls. The path read is
 				// coherent even mid-storm: Path slices are stable snapshots.
-				used[k] = n + 1
-				p := m.walks.Path(seg[n])
+				p := m.walks.Path(c.seg[c.used])
+				c.used++
 				for i := 1; i < len(p); i++ {
 					q.stats.StripeMask |= 1 << uint(walkstore.StripeOf(p[i]))
 					if walkstore.Side(dir).PendingAt(i) == walkstore.SideBackward {

@@ -1,14 +1,18 @@
 package salsa
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"fastppr/internal/exact"
 	"fastppr/internal/gen"
 	"fastppr/internal/graph"
 	"fastppr/internal/stats"
+	"fastppr/internal/topk"
 )
 
 // TestPersonalizedSingleEdge is the hand-computable case: on the graph
@@ -190,5 +194,62 @@ func TestQueryAfterStream(t *testing.T) {
 	auth, _ := exact.SalsaPersonalized(mt.Social().Graph(), src, eps, oracleTol)
 	if d := exact.L1(res.AuthorityAll(), auth); d > 0.2 {
 		t.Fatalf("post-stream personalized authority L1 vs oracle=%v", d)
+	}
+}
+
+// queryContract is the FNV-64 of six fixed-stream queries' full output —
+// every QueryStats field, the authority and hub vectors in node order and
+// TopK(10) — on a fixed-seed churned store, computed at commit e8671a5,
+// before the query's two cursor maps became one and TopK stopped building
+// the score map. The RNG draw order, the stripe mask and the scores are the
+// served contract: a cached result is compared bit for bit against a
+// recompute on its recorded stream.
+const queryContract = 0xa67c0b342df1a90d
+
+// TestPersonalizedStreamBitwise pins PersonalizedStream's output on fixed
+// streams, and that TopK's streamed ranking equals ranking the materialised
+// authority map.
+func TestPersonalizedStreamBitwise(t *testing.T) {
+	const n = 150
+	rng := rand.New(rand.NewPCG(61, 0))
+	full := gen.PreferentialAttachment(n, 4, rng)
+	events := gen.ShrinkGrowStream(gen.RandomPermutationStream(full, rng), 3, 0.25, rng)
+	mt, _ := newMaintainer(nodeGraph(n), Config{Eps: 0.2, R: 4, Workers: 1, Seed: 62, QueryWalks: 300})
+	mt.Bootstrap()
+	mt.ApplyEvents(events)
+
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(x uint64) {
+		binary.LittleEndian.PutUint64(buf[:], x)
+		h.Write(buf[:])
+	}
+	for i, src := range []graph.NodeID{0, 1, 7, n / 2, n - 1, 7} {
+		q := mt.PersonalizedStream(src, uint64(1000+i))
+		st := q.Stats()
+		for _, x := range []int64{int64(st.Source), int64(st.Walks), st.Steps, st.StitchedSegments,
+			st.StitchedSteps, st.BareSteps, st.StoreCalls, st.StartEpoch, st.EndEpoch} {
+			put(uint64(x))
+		}
+		put(math.Float64bits(st.Theorem8Bound))
+		put(st.Stream)
+		put(st.StripeMask)
+		for v := graph.NodeID(0); v < n; v++ {
+			put(math.Float64bits(q.Authority(v)))
+			put(math.Float64bits(q.Hub(v)))
+		}
+		for _, k := range []int{1, 10, n} {
+			got, want := q.TopK(k), topk.TopK(q.AuthorityAll(), k)
+			if !slices.Equal(got, want) {
+				t.Fatalf("source %d: TopK(%d)=%v, ranking AuthorityAll gives %v", src, k, got, want)
+			}
+		}
+		for _, it := range q.TopK(10) {
+			put(uint64(it.Node))
+			put(math.Float64bits(it.Score))
+		}
+	}
+	if got := h.Sum64(); got != queryContract {
+		t.Fatalf("query fingerprint %#x, want %#x", got, uint64(queryContract))
 	}
 }

@@ -161,13 +161,13 @@ func TestReplaceTailBatchMatchesSequential(t *testing.T) {
 }
 
 // TestReplaceTailBatchChunkedBucket drives one (node, dir) pending bucket
-// 0 -> 3*chunkCap -> 0 inside single ReplaceTailBatch calls and checks the
-// result against the sequential path — the grouped apply visits the bucket
-// in a different order than the sequential one, so chunk splits and drains
-// land differently while the contents must not.
+// 0 -> 768 -> 0 inside single ReplaceTailBatch calls and checks the result
+// against the sequential path — the grouped apply visits the bucket in a
+// different order than the sequential one, so its write log fills and merges
+// at different moments while the enumeration must not differ.
 func TestReplaceTailBatchChunkedBucket(t *testing.T) {
 	const hub = graph.NodeID(3)
-	const n = 3 * chunkCap
+	const n = 768
 	seq, bat := New(), New()
 	var live []SegmentID
 	var muts []TailMutation
@@ -187,8 +187,8 @@ func TestReplaceTailBatchChunkedBucket(t *testing.T) {
 	}
 	bat.ReplaceTailBatch(muts)
 	px := &bat.stripe(hub).node(hub).pending[int(SideBackward)]
-	if px.hub == nil || px.len() != n {
-		t.Fatalf("batched bucket: directory=%v with %d entries, want a directory of %d", px.hub != nil, px.len(), n)
+	if got := px.len(); got != n {
+		t.Fatalf("batched bucket holds %d entries, want %d", got, n)
 	}
 	requireStoresEqual(t, seq, bat, live, int(hub)+1)
 	// And back down to nothing, again in one call.

@@ -30,14 +30,19 @@
 // candidate order the pre-index scans used (ascending segment, then
 // position — the order first-switch indices are drawn over). The buckets
 // hold one entry per visit and double as the inverted visitor index
-// (Visitors and W derive from them). A bucket is one ascending sequence of
-// packed seg<<32|pos words cut into pointer-free chunks of at most chunkCap:
-// an ordinary node is a single chunk, a plain sorted slice; a hub keeps a
-// directory of chunks plus a parallel array of their first words, so an
-// update searches twice and memmoves at most one chunk, an enumeration is a
-// linear sweep, an emptied chunk is freed and a bulk load leaves chunks
-// full. See docs/DESIGN.md#7-the-pending-position-index for the invariants
-// and the measurements behind the chunk capacity.
+// (Visitors and W derive from them). A bucket is one pointer-free slice: a
+// strictly ascending prefix of packed seg<<32|pos<<1 words followed by a
+// write log. A write appends one word wherever its key sorts (a remove sets
+// bit 0), so the repair path's index upkeep is O(1) per regenerated step;
+// the log is folded into the prefix — sorted, add/remove pairs cancelled,
+// one pass closing the prefix up, one opening it — by the first reader, or
+// by the writer that makes it 64 words long and an eighth of the prefix. A
+// read of a bucket with unfolded writes therefore takes the node's stripe
+// write lock instead of the read lock; the fold changes no logical state
+// and bumps no epoch, and the enumeration it yields is the one an eagerly
+// sorted bucket would have held. See
+// docs/DESIGN.md#7-the-pending-position-index for the invariants and the
+// measurements behind the two thresholds.
 //
 // Sided segments. SALSA (Sections 2.3 and 5) stores alternating walks; a
 // segment can be tagged with the direction of its first step (AddSided).
@@ -81,8 +86,8 @@
 // stripe acquisitions.
 //
 // Validate requires a quiescent store and enforces that itself: it takes
-// the segment lock plus every counter stripe and then checks the in-flight
-// mutation count, failing with a wrapped ErrConcurrentMutation (test with
+// the segment lock plus every counter stripe (for writing: checking a bucket
+// folds its write log) and then checks the in-flight mutation count, failing with a wrapped ErrConcurrentMutation (test with
 // errors.Is) when it caught a mutation between its arena phase and its
 // counter updates — the one state a lock-holding validator cannot
 // distinguish from corruption. Callers that cannot guarantee quiescence can
@@ -107,8 +112,8 @@
 // ReplaceTailBatch applies a whole repair phase's tail mutations under one
 // segment-lock acquisition — relocations in batch order (so replay order
 // equals execution order and a batch may touch the same segment twice),
-// then one stripe-sorted index pass — producing byte-identical index
-// buckets, epochs, and WAL records to the per-call path; GroupByStripe is
+// then one stripe-sorted index pass — producing identical index
+// enumerations, epochs, and WAL records to the per-call path; GroupByStripe is
 // the stable counting sort the maintainers' parallel paths use to aim
 // whole arrival slices at one stripe neighborhood. Compact rewrites the
 // live segments into a fresh arena and repoints them in place, reclaiming

@@ -1,7 +1,6 @@
 package walkstore
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -18,13 +17,6 @@ import (
 type PosHit struct {
 	Seg SegmentID
 	Pos int32
-}
-
-func comparePosHit(a, b PosHit) int {
-	if c := cmp.Compare(a.Seg, b.Seg); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.Pos, b.Pos)
 }
 
 // pendingBuckets is the number of per-node position-index buckets: one per
@@ -55,204 +47,213 @@ func bucketOf(dir Side) int {
 	return int(dir)
 }
 
-// packEntry encodes one index entry as seg<<32 | pos. Numeric order of the
+// packEntry encodes one index entry as seg<<32 | pos<<1. Numeric order of the
 // packed word is exactly (seg, pos) lexicographic order, so a bucket sorts,
-// searches, and moves single machine words. Segment
-// IDs are dense from 0 and positions are bounded by path length, so both
-// comfortably fit 32 bits; the guard documents the limit rather than
-// silently corrupting past it.
+// searches, and moves single machine words; bit 0 is left for the write
+// log's removal tag. Segment IDs are dense from 0 and positions are bounded
+// by path length, so 32 and 31 bits are ample; the guards document the
+// limits rather than silently corrupting past them.
 func packEntry(seg SegmentID, pos int32) uint64 {
 	if uint64(seg) >= 1<<32 {
 		panic(fmt.Sprintf("walkstore: segment %d overflows the packed position index", seg))
 	}
-	return uint64(seg)<<32 | uint64(uint32(pos))
+	if pos < 0 {
+		panic(fmt.Sprintf("walkstore: position %d overflows the packed position index", pos))
+	}
+	return uint64(seg)<<32 | uint64(pos)<<1
 }
 
 func unpackEntry(e uint64) PosHit {
-	return PosHit{Seg: SegmentID(e >> 32), Pos: int32(uint32(e))}
+	return PosHit{Seg: SegmentID(e >> 32), Pos: int32(uint32(e) >> 1)}
 }
 
-// chunkCap bounds one chunk of a pending-position bucket: 256 packed words,
-// 2 KiB. An insert or delete memmoves at most one chunk, so the constant
-// trades that memmove against directory length; BenchmarkPosIndex* is the
-// evidence (128, 256 and 512 were tried — see docs/DESIGN.md §7).
-const chunkCap = 256
+// A bucket's write log is folded into its sorted prefix by the first reader,
+// or by the writer that makes it logMin words long and a logFrac-th of the
+// prefix: folding moves at most the whole prefix, so a bucket nobody reads
+// pays at most logFrac words of merge traffic per write and carries at most
+// max(logMin, prefix/logFrac) unfolded words. BenchmarkPosIndexWriteRead is
+// the evidence (16/64/256 and 4/8/16 were tried — see docs/DESIGN.md §7).
+const (
+	logMin  = 64
+	logFrac = 8
+)
 
 // posIndex is the pending-position set of one (node, bucket): the exact
 // (segment, position) pairs where a stored visit to the node is pending a
-// step in the bucket's direction, as one ascending sequence of packed
-// seg<<32|pos words cut into chunks of at most chunkCap. An ordinary node is
-// the single chunk list — pointer-free (the GC never scans it),
-// append-dominated (fresh segments carry the largest IDs), one short memmove
-// on a mid-list insert. A bucket that outgrows one chunk moves its chunks
-// into a chunkDir and comes back to a plain list when all but one of them
-// have drained. The zero value is an empty index.
+// step in the bucket's direction. ents[:sorted] holds them as strictly
+// ascending packed words — pointer-free, so the GC never scans it;
+// ents[sorted:] is the write log, one word per add or remove not yet folded
+// in, a remove carrying tag bit 0. A write is therefore one append wherever
+// in the order its key falls, and the set is the prefix with the log applied
+// in order. The zero value is an empty index.
 type posIndex struct {
-	list []uint64  // the only chunk; nil while hub != nil
-	hub  *chunkDir // two or more chunks
+	ents   []uint64
+	sorted int
 }
 
-// chunkDir is a hub bucket's chunk directory. Every chunk is non-empty,
-// sorted, at most chunkCap long, and ends below the next chunk's first word;
-// firsts[i] == chunks[i][0] is the pointer-free copy the directory search
-// runs over.
-type chunkDir struct {
-	firsts []uint64
-	chunks [][]uint64
-}
-
-func (px *posIndex) len() (n int) {
-	px.eachChunk(func(c []uint64) { n += len(c) })
-	return n
-}
+// dirty reports whether a reader must merge first, under the write lock.
+func (px posIndex) dirty() bool { return px.sorted < len(px.ents) }
 
 func (px *posIndex) add(seg SegmentID, pos int32) {
 	e := packEntry(seg, pos)
-	if px.hub == nil {
-		if len(px.list) < chunkCap {
-			px.list = insertEntry(px.list, e)
-			return
-		}
-		px.hub = &chunkDir{firsts: []uint64{px.list[0]}, chunks: [][]uint64{px.list}}
-		px.list = nil
+	// Fast path: fresh segments carry the largest ID yet, so bulk loads
+	// append to a clean bucket and leave it clean.
+	if n := len(px.ents); n == px.sorted && (n == 0 || px.ents[n-1] < e) {
+		px.push(e)
+		px.sorted++
+		return
 	}
-	px.hub.add(e)
+	px.log(e)
 }
 
-// remove drops one entry.
 func (px *posIndex) remove(seg SegmentID, pos int32) {
 	e := packEntry(seg, pos)
-	if px.hub == nil {
-		px.list = removeEntry(px.list, e)
-		return
-	}
-	px.hub.remove(e)
-	if len(px.hub.chunks) == 1 {
-		px.list, px.hub = px.hub.chunks[0], nil
-	}
-}
-
-// insertEntry inserts e into the sorted chunk c.
-func insertEntry(c []uint64, e uint64) []uint64 {
-	// Fast path: fresh segments carry the largest ID yet, so bulk loads and
-	// reroute tails append at the end.
-	if n := len(c); n == 0 || c[n-1] < e {
-		return append(c, e)
-	}
-	i, found := slices.BinarySearch(c, e)
-	if found {
-		h := unpackEntry(e)
-		panic(fmt.Sprintf("walkstore: duplicate pending position (%d,%d)", h.Seg, h.Pos))
-	}
-	return slices.Insert(c, i, e)
-}
-
-// removeEntry deletes e from the sorted chunk c.
-func removeEntry(c []uint64, e uint64) []uint64 {
 	// Fast path: ReplaceTail unwinds a tail from its end, so the removed
-	// entry is often the last.
-	if n := len(c); n > 0 && c[n-1] == e {
-		return c[:n-1]
-	}
-	i, found := slices.BinarySearch(c, e)
-	if !found {
-		h := unpackEntry(e)
-		panic(fmt.Sprintf("walkstore: removing absent pending position (%d,%d)", h.Seg, h.Pos))
-	}
-	return slices.Delete(c, i, i+1)
-}
-
-// find returns the index of the chunk whose range holds e: the last chunk
-// starting at or below e, or chunk 0 when e sorts before everything.
-func (d *chunkDir) find(e uint64) int {
-	// Fast path: bulk loads append to, and tail unwinds remove from, the
-	// last chunk.
-	if last := len(d.firsts) - 1; d.firsts[last] <= e {
-		return last
-	}
-	i, found := slices.BinarySearch(d.firsts, e)
-	if found || i == 0 {
-		return i
-	}
-	return i - 1
-}
-
-func (d *chunkDir) add(e uint64) {
-	i := d.find(e)
-	if c := d.chunks[i]; len(c) == chunkCap {
-		if i == len(d.chunks)-1 && c[chunkCap-1] < e {
-			// An append at the very end starts a fresh chunk instead of
-			// halving, so bulk loads leave every chunk behind them full.
-			d.insertChunk(i+1, append(make([]uint64, 0, chunkCap), e))
-			return
+	// entry is often the last word — the prefix's, or the add just logged.
+	if n := len(px.ents); n > 0 && px.ents[n-1] == e {
+		px.ents, px.sorted = px.ents[:n-1], min(px.sorted, n-1)
+		if n == 1 {
+			px.ents = nil
 		}
-		right := append(make([]uint64, 0, chunkCap), c[chunkCap/2:]...)
-		d.chunks[i] = c[:chunkCap/2]
-		d.insertChunk(i+1, right)
-		if right[0] <= e {
-			i++
-		}
-	}
-	d.chunks[i] = insertEntry(d.chunks[i], e)
-	d.firsts[i] = d.chunks[i][0]
-}
-
-func (d *chunkDir) insertChunk(i int, c []uint64) {
-	d.firsts = slices.Insert(d.firsts, i, c[0])
-	d.chunks = slices.Insert(d.chunks, i, c)
-}
-
-func (d *chunkDir) remove(e uint64) {
-	i := d.find(e)
-	c := removeEntry(d.chunks[i], e)
-	if len(c) == 0 {
-		// An emptied chunk is freed, not kept for reuse.
-		d.firsts = slices.Delete(d.firsts, i, i+1)
-		d.chunks = slices.Delete(d.chunks, i, i+1)
 		return
 	}
-	d.chunks[i], d.firsts[i] = c, c[0]
+	px.log(e | 1)
 }
 
-// eachChunk calls fn on every chunk in ascending order.
-func (px *posIndex) eachChunk(fn func(c []uint64)) {
-	if px.hub == nil {
-		fn(px.list)
+func (px *posIndex) log(w uint64) {
+	px.push(w)
+	if n := len(px.ents) - px.sorted; n >= logMin && n >= px.sorted/logFrac {
+		px.merge()
+	}
+}
+
+// push appends one word. Past 256 words a full bucket grows by a sixteenth
+// (at least 256 words) rather than by append's quarter: a hub's slack is
+// live heap for as long as the node is.
+func (px *posIndex) push(w uint64) {
+	if n := len(px.ents); n == cap(px.ents) && n >= 256 {
+		px.ents = append(make([]uint64, 0, n+max(256, n/16)), px.ents...)
+	}
+	px.ents = append(px.ents, w)
+}
+
+// merge folds the write log into the prefix, in place: sort the log, cancel
+// each key's add/remove pairs, close the prefix up over the removed entries
+// in one forward pass, then open it for the added ones in one backward pass.
+// It changes the representation, not the set, so it bumps no epoch; callers
+// hold the node's stripe write lock. A key the log adds twice or adds while
+// the prefix holds it, and a key it removes twice or removes while the
+// prefix lacks it, panic here rather than at the write.
+func (px *posIndex) merge() {
+	n := px.sorted
+	ents, log := px.ents[:n], px.ents[n:]
+	if len(log) == 0 {
 		return
 	}
-	for _, c := range px.hub.chunks {
-		fn(c)
+	slices.Sort(log)
+	// A key's words now sit together, adds first: cancel them pairwise.
+	k := 0
+	for _, e := range log {
+		if k > 0 && e&1 == 1 && log[k-1] == e-1 {
+			k--
+		} else {
+			log[k] = e
+			k++
+		}
+	}
+	// One forward sweep over the survivors, ascending, finds every key's
+	// place in the prefix and closes the prefix up over the removed entries;
+	// the added ones move out with their places, because the backward pass
+	// that opens the prefix for them writes over the log.
+	var buf [logMin]placedAdd
+	adds := buf[:0]
+	c, r, w := 0, 0, 0 // search, read and write cursors
+	for _, e := range log[:k] {
+		i, found := slices.BinarySearch(ents[c:], e&^1)
+		c += i
+		switch h := unpackEntry(e); {
+		case e&1 == 0 && (found || len(adds) > 0 && adds[len(adds)-1].e == e):
+			panic(fmt.Sprintf("walkstore: duplicate pending position (%d,%d)", h.Seg, h.Pos))
+		case e&1 == 0:
+			adds = append(adds, placedAdd{e, c - (r - w)})
+		case !found:
+			panic(fmt.Sprintf("walkstore: removing absent pending position (%d,%d)", h.Seg, h.Pos))
+		default:
+			if w != r {
+				copy(ents[w:], ents[r:c])
+			}
+			w += c - r
+			c++
+			r = c
+		}
+	}
+	if w != r {
+		copy(ents[w:], ents[r:])
+	}
+	n -= r - w
+	ents = px.ents[:n+len(adds)]
+	for j := len(adds) - 1; j >= 0; j-- {
+		a := adds[j]
+		copy(ents[a.at+j+1:], ents[a.at:n])
+		ents[a.at+j] = a.e
+		n = a.at
+	}
+	px.ents, px.sorted = ents, len(ents)
+	if len(ents) == 0 { // release what a drained bucket no longer needs
+		px.ents = nil
+	} else if cap(ents) > 2*len(ents)+64 {
+		px.ents = slices.Clone(ents)
 	}
 }
 
-// appendTo appends every entry to dst in (seg, pos) order: one linear sweep
-// over the chunks, no sort and — given capacity in dst — no allocation.
+// placedAdd is a logged add and its index in the closed-up prefix.
+type placedAdd struct {
+	e  uint64
+	at int
+}
+
+// appendTo folds the log and appends every entry to dst in (seg, pos)
+// order: one linear sweep, no allocation given capacity in dst.
 func (px *posIndex) appendTo(dst []PosHit) []PosHit {
-	px.eachChunk(func(c []uint64) { dst = appendHits(dst, c) })
-	return dst
-}
-
-func appendHits(dst []PosHit, c []uint64) []PosHit {
-	for _, e := range c {
-		dst = append(dst, unpackEntry(e))
+	px.merge()
+	n := len(dst)
+	dst = slices.Grow(dst, len(px.ents))[:n+len(px.ents)]
+	for i, e := range px.ents {
+		dst[n+i] = unpackEntry(e)
 	}
 	return dst
 }
 
-// appendSegs appends the bucket's distinct segment IDs to dst, ascending.
-// Callers sort and deduplicate across buckets.
+// appendSegs folds the log and appends the bucket's distinct segment IDs to
+// dst, ascending. Callers sort and deduplicate across buckets.
 func (px *posIndex) appendSegs(dst []SegmentID) []SegmentID {
-	px.eachChunk(func(c []uint64) { dst = appendDistinctSegs(dst, c) })
-	return dst
-}
-
-func appendDistinctSegs(dst []SegmentID, c []uint64) []SegmentID {
-	for _, e := range c {
+	px.merge()
+	for _, e := range px.ents {
 		if seg := SegmentID(e >> 32); len(dst) == 0 || dst[len(dst)-1] != seg {
 			dst = append(dst, seg)
 		}
 	}
 	return dst
+}
+
+// viewPending calls fn on v's node state with the write logs of buckets
+// [lo, hi) folded in, so fn may enumerate them. Clean buckets — the common
+// case: every read leaves its bucket clean — are served under the stripe's
+// read lock; a dirty one makes the reader trade it for the write lock and
+// merge, which is invisible to Epoch, StripeEpoch and the mutation log.
+func (s *Store) viewPending(v graph.NodeID, lo, hi int, fn func(ns *nodeState)) {
+	st := s.stripe(v)
+	st.mu.RLock()
+	unlock := st.mu.RUnlock
+	if ns := st.node(v); ns != nil && slices.ContainsFunc(ns.pending[lo:hi], posIndex.dirty) {
+		st.mu.RUnlock()
+		st.mu.Lock()
+		unlock = st.mu.Unlock
+	}
+	defer unlock()
+	if ns := st.node(v); ns != nil { // looked up again: v may have drained between the locks
+		fn(ns)
+	}
 }
 
 // AppendPendingPositions appends the pending-position entries of (v, dir) to
@@ -263,17 +264,13 @@ func appendDistinctSegs(dst []SegmentID, c []uint64) []SegmentID {
 // entry at a segment's last position is a PendingTerminals(v, dir) member.
 // For dir == Unsided they are every visit position of unsided segments at v
 // (the PageRank repair enumeration). The copy is taken under v's counter
-// stripe lock. See docs/DESIGN.md#7-the-pending-position-index for how the
-// maintainers freeze and consume this enumeration.
+// stripe lock — its write lock when the bucket has unfolded writes. See
+// docs/DESIGN.md#7-the-pending-position-index for how the maintainers freeze
+// and consume this enumeration.
 func (s *Store) AppendPendingPositions(dst []PosHit, v graph.NodeID, dir Side) []PosHit {
 	b := bucketOf(dir)
 	dst = dst[:0]
-	st := s.stripe(v)
-	st.mu.RLock()
-	if ns := st.node(v); ns != nil {
-		dst = ns.pending[b].appendTo(dst)
-	}
-	st.mu.RUnlock()
+	s.viewPending(v, b, b+1, func(ns *nodeState) { dst = ns.pending[b].appendTo(dst) })
 	return dst
 }
 

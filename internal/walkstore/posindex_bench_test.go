@@ -1,6 +1,7 @@
 package walkstore
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand/v2"
 	"slices"
@@ -8,10 +9,12 @@ import (
 )
 
 // The posIndex microbenchmarks time one bucket at three sizes — an ordinary
-// node's 64 entries, 1 Ki (four chunks) and a 100 Ki hub — under the two key
-// orders the store produces: "append" (bulk loads and fresh segments carry
-// the largest IDs yet, removals unwind from the end) and "random" (a reroute
-// rewrites the tail of an arbitrary stored segment).
+// node's 64 entries, 1 Ki and a 100 Ki hub — under the two key orders the
+// store produces: "append" (bulk loads and fresh segments carry the largest
+// IDs yet, removals unwind from the end) and "random" (a reroute rewrites the
+// tail of an arbitrary stored segment). Add and Remove time writes alone,
+// with whatever merges their write logs force; WriteRead charges the reads'
+// merges too.
 
 var benchSizes = []int{64, 1 << 10, 100 << 10}
 
@@ -30,7 +33,9 @@ func benchKeys(n, m int, appendOnly bool) (base, extra []PosHit) {
 		}
 	}
 	if appendOnly {
-		slices.SortFunc(all, comparePosHit)
+		slices.SortFunc(all, func(a, b PosHit) int {
+			return cmp.Compare(packEntry(a.Seg, a.Pos), packEntry(b.Seg, b.Pos))
+		})
 	}
 	return all[:n], all[n:]
 }
@@ -66,7 +71,9 @@ func benchOrders(b *testing.B, fn func(b *testing.B, base, extra []PosHit)) {
 // benchBatches runs timed over b.N operations in passes: each pass applies
 // timed to (bucket, extra key) pairs on the clock — taking each bucket's
 // extras from the back when backwards is set — and untimed to the same pairs
-// in the opposite order off it, restoring the buckets.
+// in the opposite order off it, restoring the buckets — and then reads them,
+// so every timed pass starts on merged buckets instead of unwinding, word for
+// word, the write log its own undo pass left.
 func benchBatches(b *testing.B, pxs []posIndex, extra []PosHit, backwards bool, timed, untimed func(px *posIndex, h PosHit)) {
 	pass := func(n int, undo bool, op func(px *posIndex, h PosHit)) {
 		for k := 0; k < n; k++ {
@@ -88,6 +95,9 @@ func benchBatches(b *testing.B, pxs []posIndex, extra []PosHit, backwards bool, 
 		done += n
 		b.StopTimer()
 		pass(n, true, untimed)
+		for i := range pxs {
+			pxs[i].len()
+		}
 		b.StartTimer()
 	}
 }
@@ -126,4 +136,45 @@ func BenchmarkPosIndexAppendTo(b *testing.B) {
 			b.Fatalf("enumerated %d entries, want %d", len(dst), len(base))
 		}
 	})
+}
+
+// BenchmarkPosIndexWriteRead times the index the way a repair phase loads
+// it: random-key writes (a remove of a resident key and an add of a spare
+// one alternating, so the bucket stays at n) with one full enumeration after
+// every writes_per_read of them. One operation is one write; the reads' cost
+// is spread over the writes between them. A ratio of 1 is the write log's
+// worst case — every write is merged by the read behind it — 256 is a hub
+// that is written far more often than it is read, and 0 ("never") leaves
+// every merge to the write-side thresholds logMin and logFrac.
+func BenchmarkPosIndexWriteRead(b *testing.B) {
+	for _, n := range benchSizes {
+		for _, ratio := range []int{1, 16, 256, 0} {
+			name := fmt.Sprintf("n=%d/writes_per_read=%d", n, ratio)
+			if ratio == 0 {
+				name = fmt.Sprintf("n=%d/writes_per_read=never", n)
+			}
+			b.Run(name, func(b *testing.B) {
+				in, out := benchKeys(n, n, false)
+				px := &benchBuckets(in, 4096)[0]
+				rng := rand.New(rand.NewPCG(uint64(n), uint64(ratio)))
+				var dst []PosHit
+				j := 0
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if i&1 == 0 {
+						j = rng.IntN(n)
+						removeHit(px, in[j])
+					} else {
+						k := rng.IntN(n)
+						addHit(px, out[k])
+						in[j], out[k] = out[k], in[j]
+					}
+					if ratio != 0 && (i+1)%ratio == 0 {
+						dst = px.appendTo(dst[:0])
+					}
+				}
+			})
+		}
+	}
 }

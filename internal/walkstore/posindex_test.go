@@ -1,6 +1,7 @@
 package walkstore
 
 import (
+	"math"
 	"math/rand/v2"
 	"slices"
 	"strings"
@@ -32,8 +33,10 @@ func brutePending(s *Store, live []SegmentID, v graph.NodeID, dir Side) []PosHit
 
 // TestPendingPositionsBruteForce drives randomized Add/AddSided/AddBatch/
 // ReplaceTail/Remove churn over a small node space (so every bucket is hit
-// by interleaved adds and removes) and cross-checks every bucket of every touched node against the full-path
-// enumeration after each mutation, with periodic full Validates.
+// by interleaved adds and removes) and cross-checks every bucket of every
+// node against the full-path enumeration after every eighth mutation — the
+// seven unread ones in between are what lets write logs build up — with
+// periodic full Validates.
 func TestPendingPositionsBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewPCG(17, 0))
 	s := New()
@@ -75,7 +78,7 @@ func TestPendingPositionsBruteForce(t *testing.T) {
 			live[i] = live[len(live)-1]
 			live = live[:len(live)-1]
 		}
-		for v := 0; v < nodeSpace; v++ {
+		for v := 0; v < nodeSpace && op%8 == 0; v++ {
 			for _, dir := range sides {
 				got := s.PendingPositions(graph.NodeID(v), dir)
 				want := brutePending(s, live, graph.NodeID(v), dir)
@@ -95,12 +98,10 @@ func TestPendingPositionsBruteForce(t *testing.T) {
 	}
 }
 
-// chunkLens returns the lengths of px's chunks in order (the single list
-// counts as one chunk).
-func chunkLens(px *posIndex) []int {
-	var lens []int
-	px.eachChunk(func(c []uint64) { lens = append(lens, len(c)) })
-	return lens
+// len folds the log and returns the number of entries.
+func (px *posIndex) len() int {
+	px.merge()
+	return len(px.ents)
 }
 
 // requirePosIndex checks px against the sorted model: same enumeration, same
@@ -124,80 +125,153 @@ func requirePosIndex(t testing.TB, px *posIndex, model []uint64) {
 	}
 }
 
-// TestPosIndexSplitAtCapacity pins the promotion: a bucket is one plain list
-// up to exactly chunkCap entries, and the next mid-list insert halves it into
-// a two-chunk directory.
-func TestPosIndexSplitAtCapacity(t *testing.T) {
-	var px posIndex
-	var model []uint64
-	// Even segments descending, so every add is a front insert and none takes
-	// the append fast path.
-	for i := chunkCap; i > 0; i-- {
+// midKeys returns n distinct keys under even segments ascending from 2, and
+// the model holding them: every odd segment is then a mid-bucket key.
+func midKeys(n int) (px posIndex, model []uint64) {
+	for i := 1; i <= n; i++ {
 		px.add(SegmentID(2*i), 0)
 		model = append(model, packEntry(SegmentID(2*i), 0))
 	}
-	slices.Sort(model)
-	if px.hub != nil || len(px.list) != chunkCap {
-		t.Fatalf("at capacity: hub=%v, list has %d entries, want one chunk of %d", px.hub != nil, len(px.list), chunkCap)
-	}
-	requirePosIndex(t, &px, model)
-	px.add(SegmentID(chunkCap+3), 0) // odd: lands mid-list, just right of the split point
-	model = append(model, packEntry(SegmentID(chunkCap+3), 0))
-	slices.Sort(model)
-	if got, want := chunkLens(&px), []int{chunkCap / 2, chunkCap/2 + 1}; px.hub == nil || !slices.Equal(got, want) {
-		t.Fatalf("past capacity: chunk lengths %v, want %v", got, want)
-	}
-	requirePosIndex(t, &px, model)
+	return px, model
 }
 
-// TestPosIndexAppendOverflowKeepsChunksFull pins the bulk-load rule: an
-// append past the end of a full last chunk starts a fresh chunk instead of
-// halving, so every chunk behind the last stays full.
-func TestPosIndexAppendOverflowKeepsChunksFull(t *testing.T) {
-	var px posIndex
-	var model []uint64
-	for i := 0; i < 3*chunkCap+1; i++ {
-		px.add(SegmentID(i/4), int32(i%4))
-		model = append(model, packEntry(SegmentID(i/4), int32(i%4)))
+// TestPosIndexLog pins the write log case by case: what a write leaves
+// behind, what the merge makes of it, and when the merge runs unasked.
+func TestPosIndexLog(t *testing.T) {
+	t.Run("ascending appends stay clean and unwind", func(t *testing.T) {
+		px, model := midKeys(10)
+		if px.dirty() || px.sorted != 10 {
+			t.Fatalf("ascending adds left sorted=%d of %d", px.sorted, len(px.ents))
+		}
+		px.remove(20, 0)
+		if px.dirty() || len(px.ents) != 9 {
+			t.Fatalf("removing the last entry left sorted=%d of %d", px.sorted, len(px.ents))
+		}
+		requirePosIndex(t, &px, model[:9])
+	})
+	t.Run("add then remove inside one log", func(t *testing.T) {
+		px, model := midKeys(10)
+		px.add(5, 0)
+		px.add(7, 1)
+		px.remove(5, 0) // not the last word: logged, then cancelled by the merge
+		if got := len(px.ents) - px.sorted; got != 3 {
+			t.Fatalf("log holds %d words, want 3", got)
+		}
+		model = slices.Insert(model, 3, packEntry(7, 1))
+		requirePosIndex(t, &px, model)
+		px.add(9, 0)
+		px.remove(9, 0) // the last word: unwound at once
+		if got := len(px.ents) - px.sorted; got != 0 {
+			t.Fatalf("add and immediate remove left %d log words", got)
+		}
+	})
+	t.Run("remove then re-add inside one log", func(t *testing.T) {
+		px, model := midKeys(10)
+		px.remove(6, 0)
+		px.remove(8, 0)
+		px.add(6, 0)
+		px.add(8, 0)
+		px.remove(6, 0)
+		if got := len(px.ents) - px.sorted; got != 5 {
+			t.Fatalf("log holds %d words, want 5", got)
+		}
+		requirePosIndex(t, &px, slices.Delete(model, 2, 3)) // 8 is back, 6 is not
+	})
+	t.Run("threshold merge", func(t *testing.T) {
+		// Small prefix: the merge waits for logMin words.
+		px, model := midKeys(100)
+		for i := 0; i < logMin; i++ {
+			if got := len(px.ents) - px.sorted; got != i {
+				t.Fatalf("before write %d the log holds %d words", i, got)
+			}
+			px.add(SegmentID(2*i+1), 0)
+			model = append(model, packEntry(SegmentID(2*i+1), 0))
+		}
+		if px.dirty() || len(px.ents) != 100+logMin {
+			t.Fatalf("write %d did not merge: sorted=%d of %d", logMin, px.sorted, len(px.ents))
+		}
+		slices.Sort(model)
+		requirePosIndex(t, &px, model)
+		// Large prefix: it waits for a logFrac-th of the prefix.
+		const n = 4 * logMin * logFrac
+		px, _ = midKeys(n)
+		for i := 0; i < n/logFrac-1; i++ {
+			px.remove(SegmentID(2*i+2), 0)
+		}
+		if got := len(px.ents) - px.sorted; got != n/logFrac-1 {
+			t.Fatalf("log holds %d words, want %d unmerged", got, n/logFrac-1)
+		}
+		px.remove(SegmentID(2*n-2), 0)
+		if px.dirty() || len(px.ents) != n-n/logFrac {
+			t.Fatalf("write %d did not merge: sorted=%d of %d", n/logFrac, px.sorted, len(px.ents))
+		}
+	})
+	t.Run("drain to empty", func(t *testing.T) {
+		px, _ := midKeys(1000)
+		for i := 1; i <= 1000; i++ {
+			px.remove(SegmentID(2*i), 0) // front to back: never the last word
+			if c := cap(px.ents); px.sorted == len(px.ents) && c > 2*len(px.ents)+64 {
+				t.Fatalf("merged down to %d entries but kept capacity %d", len(px.ents), c)
+			}
+		}
+		if px.len() != 0 || px.ents != nil {
+			t.Fatalf("drained bucket keeps %d words, capacity %d", len(px.ents), cap(px.ents))
+		}
+		requirePosIndex(t, &px, nil)
+	})
+	for _, tc := range []struct {
+		name, want string
+		write      func(px *posIndex)
+	}{
+		{"duplicate add of a merged entry", "duplicate pending position (6,0)", func(px *posIndex) { px.add(6, 0) }},
+		{"duplicate add inside one log", "duplicate pending position (5,0)", func(px *posIndex) { px.add(5, 0); px.add(3, 0); px.add(5, 0) }},
+		{"absent remove", "removing absent pending position (5,0)", func(px *posIndex) { px.remove(5, 0) }},
+		{"double remove inside one log", "removing absent pending position (6,0)", func(px *posIndex) { px.remove(6, 0); px.remove(4, 0); px.remove(6, 0) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			px, _ := midKeys(10)
+			tc.write(&px) // logged, not checked
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(r.(string), tc.want) {
+					t.Fatalf("merge panicked with %v, want %q", r, tc.want)
+				}
+			}()
+			px.merge()
+		})
 	}
-	if got, want := chunkLens(&px), []int{chunkCap, chunkCap, chunkCap, 1}; !slices.Equal(got, want) {
-		t.Fatalf("chunk lengths %v, want %v", got, want)
-	}
-	requirePosIndex(t, &px, model)
 }
 
-// TestPosIndexDrainCollapses pins the way back down: a chunk whose last
-// entry goes is removed from the directory, the directory collapses to a
-// plain list when one chunk is left, and the bucket ends empty.
-func TestPosIndexDrainCollapses(t *testing.T) {
+// TestPosIndexGrowth pins the capacity policy at both ends: a bulk-loaded
+// hub carries at most a sixteenth of slack, not append's quarter.
+func TestPosIndexGrowth(t *testing.T) {
 	var px posIndex
-	var model []uint64
-	for i := 0; i < 3*chunkCap; i++ {
+	for i := 0; i < 100<<10; i++ {
 		px.add(SegmentID(i), 0)
-		model = append(model, packEntry(SegmentID(i), 0))
-	}
-	drain := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			px.remove(SegmentID(i), 0)
+		if n, c := len(px.ents), cap(px.ents); n > 512 && c > n+max(256, n/16)+64 {
+			t.Fatalf("%d entries hold capacity %d", n, c)
 		}
 	}
-	drain(chunkCap, 2*chunkCap) // the middle chunk, front to back
-	model = slices.Delete(model, chunkCap, 2*chunkCap)
-	if got, want := chunkLens(&px), []int{chunkCap, chunkCap}; px.hub == nil || !slices.Equal(got, want) {
-		t.Fatalf("middle chunk drained: chunk lengths %v, want %v", got, want)
+	if px.dirty() {
+		t.Fatal("ascending bulk load left a write log")
 	}
-	requirePosIndex(t, &px, model)
-	drain(0, chunkCap)
-	model = model[chunkCap:]
-	if px.hub != nil || len(px.list) != chunkCap {
-		t.Fatalf("one chunk left: hub=%v, list has %d entries, want a plain list of %d", px.hub != nil, len(px.list), chunkCap)
+}
+
+// TestPackEntryGuards pins the packed word's limits: 32 bits of segment, 31
+// of position, bit 0 kept for the log's tag.
+func TestPackEntryGuards(t *testing.T) {
+	for _, h := range []PosHit{{0, 0}, {1<<32 - 1, math.MaxInt32}, {7, 1}} {
+		if e := packEntry(h.Seg, h.Pos); e&1 != 0 || unpackEntry(e) != h || unpackEntry(e|1) != h {
+			t.Fatalf("(%d,%d) packs to %#x, unpacks to %v", h.Seg, h.Pos, e, unpackEntry(e))
+		}
 	}
-	requirePosIndex(t, &px, model)
-	drain(2*chunkCap, 3*chunkCap)
-	if px.hub != nil || px.len() != 0 {
-		t.Fatalf("drained bucket holds %d entries", px.len())
+	if packEntry(3, 9) >= packEntry(3, 10) || packEntry(3, math.MaxInt32) >= packEntry(4, 0) {
+		t.Fatal("packed order is not (seg, pos) order")
 	}
-	requirePosIndex(t, &px, nil)
+	mustPanic(t, "segment 1<<32", func() { packEntry(1<<32, 0) })
+	mustPanic(t, "negative segment", func() { packEntry(-1, 0) })
+	mustPanic(t, "position -1", func() { packEntry(0, -1) })
+	big := 1 << 31
+	mustPanic(t, "position 1<<31", func() { packEntry(0, int32(big)) })
 }
 
 // runPosIndexOps interprets data as a sequence of three-byte operations
@@ -211,7 +285,10 @@ func TestPosIndexDrainCollapses(t *testing.T) {
 //	kind%5 == 3  add the successor of the entry at index (a<<8|b) mod len
 //	kind%5 == 4  drain b+1 consecutive entries starting a/256 of the way in
 //
-// A kind of 0xf0 or above also runs the full structural check.
+// A kind with bit 3 set withholds the read that otherwise follows every
+// operation — a read merges, so only withheld reads let a write log build
+// up, cancel pairs and reach the merge threshold. A kind of 0xf0 or above
+// runs the full structural check (and with it a read) regardless.
 func runPosIndexOps(t testing.TB, data []byte) {
 	var px posIndex
 	var model []uint64
@@ -249,8 +326,8 @@ func runPosIndexOps(t testing.TB, data []byte) {
 			}
 		case 3:
 			if len(model) > 0 {
-				if e := model[(a<<8|b)%len(model)]; uint32(e) != 1<<31-1 {
-					add(e + 1)
+				if h := unpackEntry(model[(a<<8|b)%len(model)]); h.Pos != math.MaxInt32 {
+					add(packEntry(h.Seg, h.Pos+1))
 				}
 			}
 		case 4:
@@ -261,6 +338,12 @@ func runPosIndexOps(t testing.TB, data []byte) {
 				px.remove(unpackEntry(e).Seg, unpackEntry(e).Pos)
 			}
 		}
+		if kind >= 0xf0 {
+			requirePosIndex(t, &px, model)
+		}
+		if kind&8 != 0 {
+			continue
+		}
 		if px.len() != len(model) {
 			t.Fatalf("index holds %d entries, model %d", px.len(), len(model))
 		}
@@ -270,17 +353,14 @@ func runPosIndexOps(t testing.TB, data []byte) {
 				t.Fatalf("entry %d is (%d,%d), model says (%d,%d)", i, h.Seg, h.Pos, unpackEntry(model[i]).Seg, unpackEntry(model[i]).Pos)
 			}
 		}
-		if kind >= 0xf0 {
-			requirePosIndex(t, &px, model)
-		}
 	}
 	requirePosIndex(t, &px, model)
 }
 
 // TestPosIndexInterleavedAgainstModel drives a long fixed-seed mix of every
-// operation kind — the bucket grows to some fourteen thousand entries over
-// more than a hundred chunks, range drains leaving many of them sparse —
-// against the sorted-slice model.
+// operation kind, half of them with the read withheld — the bucket grows to
+// some fourteen thousand entries, with write logs of every length up to the
+// merge threshold — against the sorted-slice model.
 func TestPosIndexInterleavedAgainstModel(t *testing.T) {
 	rng := rand.New(rand.NewPCG(29, 0))
 	data := make([]byte, 3*4000)
@@ -291,11 +371,13 @@ func TestPosIndexInterleavedAgainstModel(t *testing.T) {
 }
 
 // FuzzPosIndex lets the Go fuzzer mutate the operation sequence; the seed
-// corpus under testdata/fuzz/FuzzPosIndex covers bulk load, split, drain and
-// collapse.
+// corpus under testdata/fuzz/FuzzPosIndex covers bulk load, range drains,
+// and write logs that are read early, cancel in place or run into the merge
+// threshold.
 func FuzzPosIndex(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 1, 3, 1, 0, 0})
 	f.Add([]byte{2, 0, 255, 2, 0, 255, 3, 0, 7, 0xf4, 0, 255})
+	f.Add([]byte{2, 0, 99, 8, 1, 1, 8, 1, 2, 9, 0, 100, 13, 0, 0, 0xf8, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Every operation is checked with a full enumeration, so an input's
 		// cost is quadratic in its length; 512 operations reach 500 chunks.
@@ -303,46 +385,33 @@ func FuzzPosIndex(f *testing.F) {
 	})
 }
 
-// TestValidateRejectsCorruptDirectory hand-corrupts a hub bucket's chunk
-// directory in each way the chunked layout can go wrong and requires
-// Validate to name the damage.
-func TestValidateRejectsCorruptDirectory(t *testing.T) {
+// TestValidateRejectsCorruptBucket hand-corrupts a bucket in each way the
+// prefix-plus-log layout can go wrong and requires Validate to name the
+// damage — before it folds the log, which would trust the layout.
+func TestValidateRejectsCorruptBucket(t *testing.T) {
 	const hub = graph.NodeID(9)
-	build := func() (*Store, *chunkDir) {
-		s := New()
-		for i := 0; i < 3*chunkCap; i++ {
-			s.Add([]graph.NodeID{hub, graph.NodeID(100 + i)})
-		}
-		if err := s.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		d := s.stripe(hub).node(hub).pending[unsidedBucket].hub
-		if d == nil || len(d.chunks) != 3 {
-			t.Fatalf("hub bucket is not a three-chunk directory: %+v", d)
-		}
-		return s, d
-	}
 	for _, tc := range []struct {
 		name, want string
-		corrupt    func(d *chunkDir)
+		corrupt    func(px *posIndex)
 	}{
-		{"firsts mismatch", "firsts[1] does not match", func(d *chunkDir) { d.firsts[1]++ }},
-		{"unsorted across a chunk boundary", "not strictly sorted", func(d *chunkDir) {
-			last := len(d.chunks[0]) - 1
-			d.chunks[0][last], d.chunks[1][0] = d.chunks[1][0], d.chunks[0][last]
-			d.firsts[1] = d.chunks[1][0]
-		}},
-		{"empty chunk", "chunk 1 has 0 entries", func(d *chunkDir) {
-			d.firsts = slices.Insert(d.firsts, 1, d.firsts[1])
-			d.chunks = slices.Insert(d.chunks, 1, []uint64{})
-		}},
-		{"lone chunk left in the directory", "directory malformed", func(d *chunkDir) {
-			d.firsts, d.chunks = d.firsts[:1], [][]uint64{slices.Concat(d.chunks...)}
+		{"unsorted prefix", "not strictly sorted at (40,0)", func(px *posIndex) { px.ents[40], px.ents[41] = px.ents[41], px.ents[40] }},
+		{"repeated entry", "not strictly sorted at (40,0)", func(px *posIndex) { px.ents[41] = px.ents[40] }},
+		{"prefix length past len", "sorted prefix of 101 words in a bucket of 100", func(px *posIndex) { px.sorted++ }},
+		{"tagged word inside the prefix", "removal tag inside the sorted prefix at (7,0)", func(px *posIndex) { px.ents[7] |= 1 }},
+		{"log word counted into the prefix", "removal tag inside the sorted prefix at (3,0)", func(px *posIndex) {
+			px.remove(3, 0)
+			px.sorted++
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, d := build()
-			tc.corrupt(d)
+			s := New()
+			for i := 0; i < 100; i++ {
+				s.Add([]graph.NodeID{hub, graph.NodeID(100 + i)})
+			}
+			if err := s.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			tc.corrupt(&s.stripe(hub).node(hub).pending[unsidedBucket])
 			if err := s.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("Validate() = %v, want an error containing %q", err, tc.want)
 			}

@@ -894,18 +894,16 @@ func (s *Store) PendingVisitFraction(v graph.NodeID, dir Side) (visits, total in
 // Visitors returns the IDs of segments that visit v, ascending. It is
 // derived from the pending-position buckets (which hold one entry per
 // visit), so it costs a sort over the visit count rather than a table read —
-// acceptable for its remaining callers (the legacy scan path and tests); the
-// hot paths consume AppendPendingPositions directly.
+// and, like AppendPendingPositions, the stripe's write lock when a bucket
+// has unfolded writes. Acceptable for its remaining callers (the legacy scan
+// path and tests); the hot paths consume AppendPendingPositions directly.
 func (s *Store) Visitors(v graph.NodeID) []SegmentID {
-	st := s.stripe(v)
-	st.mu.RLock()
 	var ids []SegmentID
-	if ns := st.node(v); ns != nil {
+	s.viewPending(v, 0, pendingBuckets, func(ns *nodeState) {
 		for b := range ns.pending {
 			ids = ns.pending[b].appendSegs(ids)
 		}
-	}
-	st.mu.RUnlock()
+	})
 	slices.Sort(ids)
 	return slices.Compact(ids)
 }
@@ -1145,7 +1143,7 @@ var relocPool = sync.Pool{New: func() any { b := make([]relocated, 0, 16); retur
 // pending-index updates are then grouped so each touched counter stripe
 // pays one lock acquisition (and one StripeEpoch bump) for all of the
 // batch's positions instead of one per mutation. The resulting store state
-// — index bucket bytes included — is identical to calling ReplaceTail once
+// — index enumeration included — is identical to calling ReplaceTail once
 // per entry in order, and the epoch advances by the number of non-no-op
 // entries exactly as the sequential calls would have. Entries may span
 // segments of different sides, and mutating the same segment twice in one
@@ -1310,6 +1308,10 @@ func (s *Store) retire(id SegmentID) ([]graph.NodeID, segRef) {
 // Validate is only meaningful on a consistent store, and it enforces that
 // itself: it acquires the segment lock plus every counter stripe (blocking
 // new mutations for the duration), then checks the in-flight mutation count.
+// The stripes are taken for writing, because checking a pending-position
+// bucket's entries folds its write log in first (after the bucket's layout
+// has been checked as found) — as for any index read, a change of
+// representation that Epoch, StripeEpoch and the mutation log do not see.
 // A mutation caught between its arena phase and its counter updates holds no
 // lock, so without the check it would be indistinguishable from corruption;
 // with it, Validate fails loudly with ErrConcurrentMutation (wrapped, test
@@ -1320,8 +1322,8 @@ func (s *Store) Validate() error {
 	s.segMu.RLock()
 	defer s.segMu.RUnlock()
 	for i := range s.stripes {
-		s.stripes[i].mu.RLock()
-		defer s.stripes[i].mu.RUnlock()
+		s.stripes[i].mu.Lock()
+		defer s.stripes[i].mu.Unlock()
 	}
 	// With segMu and every stripe held, a mutation can neither start (the
 	// arena phase needs segMu) nor advance (counter updates need a stripe),
@@ -1437,11 +1439,18 @@ func (s *Store) Validate() error {
 					nVisits++
 				}
 				// The pending buckets double as the inverted visitor index
-				// (one entry per visit); their exact-set check below subsumes
-				// a separate per-segment multiplicity check.
+				// (one entry per visit); their exact-set check subsumes a
+				// separate per-segment multiplicity check.
 				var pendingN int
 				for b := 0; b < pendingBuckets; b++ {
-					pendingN += ns.pending[b].len()
+					px := &ns.pending[b]
+					if err := validatePosIndex(b, v, px, wantPending[b][v]); err != nil {
+						return err
+					}
+					if len(px.ents) != 0 {
+						nPending[b]++
+					}
+					pendingN += len(px.ents)
 				}
 				if int64(pendingN) != ns.visits {
 					return fmt.Errorf("walkstore: node %d has %d pending entries for %d visits", v, pendingN, ns.visits)
@@ -1464,17 +1473,6 @@ func (s *Store) Validate() error {
 					}
 					if ns.sidedTerminals[d] != 0 {
 						nSidedTerminals[d]++
-					}
-				}
-				for b := 0; b < pendingBuckets; b++ {
-					px := &ns.pending[b]
-					if px.len() != 0 {
-						nPending[b]++
-						if err := validatePosIndex(b, v, px, wantPending[b][v]); err != nil {
-							return err
-						}
-					} else if len(wantPending[b][v]) != 0 {
-						return fmt.Errorf("walkstore: pending[%d][%d] empty, want %d entries", b, v, len(wantPending[b][v]))
 					}
 				}
 				return nil
@@ -1563,35 +1561,26 @@ func (s *Store) ValidateSteps(hasEdge func(from, to graph.NodeID) bool) error {
 	return nil
 }
 
-// validatePosIndex cross-checks one node's pending-position bucket against
-// the full-path recount — exact entry set, strictly ascending across every
-// chunk boundary — and checks the chunk directory's own invariants: two or
-// more chunks (a lone chunk lives in list), none empty or over chunkCap, and
-// firsts mirroring each chunk's first word.
+// validatePosIndex checks one node's pending-position bucket: first the
+// layout as found — the prefix length within the slice, the prefix strictly
+// ascending and free of removal tags — then, with the write log folded in,
+// the exact entry set against the full-path recount.
 func validatePosIndex(b int, v graph.NodeID, px *posIndex, want map[PosHit]bool) error {
-	if d := px.hub; d != nil {
-		if px.list != nil || len(d.chunks) < 2 || len(d.firsts) != len(d.chunks) {
-			return fmt.Errorf("walkstore: pending[%d][%d] directory malformed: %d chunks, %d firsts, %d list entries", b, v, len(d.chunks), len(d.firsts), len(px.list))
+	if px.sorted < 0 || px.sorted > len(px.ents) {
+		return fmt.Errorf("walkstore: pending[%d][%d] sorted prefix of %d words in a bucket of %d", b, v, px.sorted, len(px.ents))
+	}
+	for i, e := range px.ents[:px.sorted] {
+		if h := unpackEntry(e); e&1 != 0 {
+			return fmt.Errorf("walkstore: pending[%d][%d] has a removal tag inside the sorted prefix at (%d,%d)", b, v, h.Seg, h.Pos)
+		} else if i > 0 && px.ents[i-1] >= e {
+			return fmt.Errorf("walkstore: pending[%d][%d] not strictly sorted at (%d,%d)", b, v, h.Seg, h.Pos)
 		}
-		for i, c := range d.chunks {
-			if len(c) == 0 || len(c) > chunkCap {
-				return fmt.Errorf("walkstore: pending[%d][%d] chunk %d has %d entries, want 1..%d", b, v, i, len(c), chunkCap)
-			}
-			if d.firsts[i] != c[0] {
-				return fmt.Errorf("walkstore: pending[%d][%d] firsts[%d] does not match its chunk", b, v, i)
-			}
-		}
-	} else if len(px.list) > chunkCap {
-		return fmt.Errorf("walkstore: pending[%d][%d] single chunk has %d entries, want <= %d", b, v, len(px.list), chunkCap)
 	}
 	hits := px.appendTo(nil)
 	if len(hits) != len(want) {
 		return fmt.Errorf("walkstore: pending[%d][%d] has %d entries, want %d", b, v, len(hits), len(want))
 	}
-	for i, h := range hits {
-		if i > 0 && comparePosHit(hits[i-1], h) >= 0 {
-			return fmt.Errorf("walkstore: pending[%d][%d] not strictly sorted at (%d,%d)", b, v, h.Seg, h.Pos)
-		}
+	for _, h := range hits {
 		if !want[h] {
 			return fmt.Errorf("walkstore: pending[%d][%d] has stale entry (%d,%d)", b, v, h.Seg, h.Pos)
 		}

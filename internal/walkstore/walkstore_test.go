@@ -110,24 +110,25 @@ func TestPathCapClamped(t *testing.T) {
 	}
 }
 
-// TestHubVisitorSet grows one node's bucket to three chunks and back down.
+// TestHubVisitorSet grows one node's bucket to 768 entries and back down.
 func TestHubVisitorSet(t *testing.T) {
+	const n = 256
 	s := New()
 	var ids []SegmentID
-	for i := 0; i < 3*chunkCap; i++ {
+	for i := 0; i < 3*n; i++ {
 		ids = append(ids, s.Add(path(7, int64(1000+i))))
 	}
-	if got := s.W(7); got != 3*chunkCap {
-		t.Fatalf("W(7)=%d want %d", got, 3*chunkCap)
+	if got := s.W(7); got != 3*n {
+		t.Fatalf("W(7)=%d want %d", got, 3*n)
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range ids[:2*chunkCap] {
+	for _, id := range ids[:2*n] {
 		s.Remove(id)
 	}
-	if got := s.W(7); got != chunkCap {
-		t.Fatalf("W(7)=%d want %d", got, chunkCap)
+	if got := s.W(7); got != n {
+		t.Fatalf("W(7)=%d want %d", got, n)
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
