@@ -249,36 +249,61 @@ func (g *Graph) AddEdge(u, v NodeID) {
 	unlockPair(su, sv)
 }
 
-// RemoveEdge deletes one occurrence of u -> v. It reports whether an edge was
-// removed.
+// RemoveEdge deletes one copy of u -> v and reports whether an edge was
+// removed. It swap-deletes the first occurrence of v from u's out-row and the
+// first occurrence of u from v's in-row, so replaying an event stream
+// reproduces both rows' order. When u -> v has a single copy, v's in-row
+// holds u exactly once and is searched from its newest end, where AddEdge
+// appends: deleting a young edge into a hub then costs the distance from
+// that end, not the hub's in-degree. The out-row is always scanned in full
+// up to a second copy, O(out-degree).
 func (g *Graph) RemoveEdge(u, v NodeID) bool {
 	su, sv := g.lockPair(u, v)
 	defer unlockPair(su, sv)
 	ru := su.row(u, g.slotBits)
-	if ru == nil || !removeOne(&ru.out, v) {
+	if ru == nil {
+		return false
+	}
+	i := slices.Index(ru.out, v)
+	if i < 0 {
 		return false
 	}
 	rv := sv.row(v, g.slotBits)
-	if rv == nil || !removeOne(&rv.in, u) {
+	j := -1
+	if rv != nil {
+		if slices.Contains(ru.out[i+1:], v) {
+			j = slices.Index(rv.in, u)
+		} else {
+			j = lastIndex(rv.in, u)
+		}
+	}
+	if j < 0 {
 		// The two adjacency tables are updated together, so a missing
 		// reverse entry means internal corruption.
 		panic("graph: adjacency tables out of sync")
 	}
+	swapDelete(&ru.out, i)
+	swapDelete(&rv.in, j)
 	su.edges--
 	g.edges.Add(-1)
 	return true
 }
 
-// removeOne swap-deletes the first occurrence of target in *s.
-func removeOne(s *[]NodeID, target NodeID) bool {
-	for i, x := range *s {
-		if x == target {
-			(*s)[i] = (*s)[len(*s)-1]
-			*s = (*s)[:len(*s)-1]
-			return true
+// lastIndex returns the index of the last occurrence of target in s, or -1.
+func lastIndex(s []NodeID, target NodeID) int {
+	for i := len(s) - 1; i >= 0; i-- {
+		if s[i] == target {
+			return i
 		}
 	}
-	return false
+	return -1
+}
+
+// swapDelete removes (*s)[i] by moving the last element into its place.
+func swapDelete(s *[]NodeID, i int) {
+	last := len(*s) - 1
+	(*s)[i] = (*s)[last]
+	*s = (*s)[:last]
 }
 
 // HasEdge reports whether at least one edge u -> v exists.
@@ -578,7 +603,8 @@ func (g *Graph) RandomEdge(rng *rand.Rand) (e Edge, ok bool) {
 
 // Validate checks internal invariants (forward/backward adjacency agreement,
 // shard/slot placement, and the edge counters). Intended for tests and
-// debugging; O(m log m).
+// debugging; one pass over every row, counting edges in a map: O(n + m)
+// expected time and O(distinct edges) memory.
 func (g *Graph) Validate() error {
 	g.rlockAll()
 	defer g.runlockAll()

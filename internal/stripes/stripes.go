@@ -1,6 +1,9 @@
 package stripes
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
 // Hash spreads a key over the stripe space with Fibonacci hashing — the same
 // multiplier the graph shards and the social store use, extracted here so
@@ -98,30 +101,33 @@ func (s *MutexSet) LockKeys(keys []uint64, buf []int) []int {
 	return buf
 }
 
+// stackStripes is the largest set whose CollectIndices bitmap lives on the
+// stack; every production set (512 segment stripes) fits.
+const stackStripes = 512
+
 // CollectIndices appends the sorted, deduplicated stripe indices of keys to
 // buf (reset first) and returns it — the ordered lock set LockSet consumes.
-// The dedup runs over a bitmapless insertion sort because lock sets are
-// small; callers reuse buf across arrivals to stay allocation-free.
+// It marks each key's stripe in a bitmap and then walks the set bits in
+// ascending order: O(len(keys) + Len()/64), independent of how many stripes
+// a hub's freeze collects. Callers reuse buf across arrivals to stay
+// allocation-free; sets above stackStripes allocate their bitmap per call.
 func (s *MutexSet) CollectIndices(keys []uint64, buf []int) []int {
-	buf = buf[:0]
+	var stack [stackStripes / 64]uint64
+	var words []uint64
+	if n := (len(s.mus) + 63) / 64; n <= len(stack) {
+		words = stack[:n]
+	} else {
+		words = make([]uint64, n)
+	}
 	for _, k := range keys {
 		i := s.Index(k)
-		lo := 0
-		hi := len(buf)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if buf[mid] < i {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
+		words[i>>6] |= 1 << (i & 63)
+	}
+	buf = buf[:0]
+	for w, word := range words {
+		for ; word != 0; word &= word - 1 {
+			buf = append(buf, w<<6|bits.TrailingZeros64(word))
 		}
-		if lo < len(buf) && buf[lo] == i {
-			continue
-		}
-		buf = append(buf, 0)
-		copy(buf[lo+1:], buf[lo:])
-		buf[lo] = i
 	}
 	return buf
 }

@@ -1,6 +1,7 @@
 package stripes
 
 import (
+	"math/rand/v2"
 	"slices"
 	"sync"
 	"testing"
@@ -27,33 +28,44 @@ func TestIndexInRangeAndStable(t *testing.T) {
 	}
 }
 
+// TestCollectIndicesSortedDeduped checks CollectIndices against a
+// sort-and-dedup reference for 0 to 5,000 keys over sets of 1, 64, 512 and
+// 1,024 stripes (the last takes the heap bitmap), through one reused buffer,
+// so a stale index left from the previous call would show.
 func TestCollectIndicesSortedDeduped(t *testing.T) {
-	s := NewMutexSet(8)
-	keys := make([]uint64, 200)
+	rng := rand.New(rand.NewPCG(5, 0))
+	var buf []int
+	for _, stripes := range []int{1, 64, 512, 1024} {
+		s := NewMutexSet(stripes)
+		for _, n := range []int{0, 1, 2, 8, 63, 500, 5000, 3} {
+			keys := make([]uint64, n)
+			for i := range keys {
+				keys[i] = rng.Uint64N(uint64(4*n + 1))
+			}
+			want := make([]int, n)
+			for i, k := range keys {
+				want[i] = s.Index(k)
+			}
+			slices.Sort(want)
+			want = slices.Compact(want)
+			if buf = s.CollectIndices(keys, buf); !slices.Equal(buf, want) {
+				t.Fatalf("%d stripes, %d keys: CollectIndices = %v, want %v", stripes, n, buf, want)
+			}
+		}
+	}
+}
+
+// TestCollectIndicesAllocFree: with a reused buffer, collecting a lock set
+// over the production width of 512 stripes allocates nothing.
+func TestCollectIndicesAllocFree(t *testing.T) {
+	s := NewMutexSet(512)
+	keys := make([]uint64, 1000)
 	for i := range keys {
-		keys[i] = uint64(i % 37)
+		keys[i] = uint64(i) * 7919
 	}
-	idx := s.CollectIndices(keys, nil)
-	if !slices.IsSorted(idx) {
-		t.Fatalf("indices not sorted: %v", idx)
-	}
-	seen := map[int]bool{}
-	for _, i := range idx {
-		if seen[i] {
-			t.Fatalf("duplicate index %d in %v", i, idx)
-		}
-		seen[i] = true
-	}
-	// Every key's stripe must be present.
-	for _, k := range keys {
-		if !seen[s.Index(k)] {
-			t.Fatalf("stripe of key %d missing from %v", k, idx)
-		}
-	}
-	// Buffer reuse starts from empty.
-	idx2 := s.CollectIndices(keys[:1], idx)
-	if len(idx2) != 1 || idx2[0] != s.Index(keys[0]) {
-		t.Fatalf("reused buffer not reset: %v", idx2)
+	buf := s.CollectIndices(keys, nil)
+	if allocs := testing.AllocsPerRun(100, func() { buf = s.CollectIndices(keys, buf) }); allocs != 0 {
+		t.Fatalf("CollectIndices allocated %.1f times per call", allocs)
 	}
 }
 
