@@ -109,11 +109,11 @@ func TestUpdStateScratchReleased(t *testing.T) {
 	var added UpdateStats
 	var deleted DeleteStats
 	for i, ed := range stream {
-		g.AddEdge(ed.From, ed.To)
-		eng.applyOne(ed, rng, &st, &added)
+		d, _ := g.AddEdge(ed.From, ed.To)
+		eng.applyOne(ed, d, rng, &st, &added)
 		if i%3 == 2 {
-			g.RemoveEdge(ed.From, ed.To)
-			eng.deleteOne(ed, rng, &st, &deleted)
+			d, _, left, _ := g.RemoveEdge(ed.From, ed.To)
+			eng.deleteOne(ed, left+1, d, g, rng, &st, &deleted)
 		}
 	}
 	if cap(st.paths) == 0 || cap(st.tms) == 0 {

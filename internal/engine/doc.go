@@ -26,7 +26,12 @@
 // and ApplyWindow streams arrivals through a fixed-capacity sliding window,
 // feeding each expiring edge back through the deletion path so the graph
 // always holds exactly the last capacity arrivals — see
-// docs/DESIGN.md#10-deletions--windows.
+// docs/DESIGN.md#10-deletions--windows. The engine holds no per-source
+// lock, so every degree and multiplicity it uses is its own write's reply
+// (exact however workers race: a source's first two racing inserts revive
+// exactly once), and during a parallel deletion batch every sample, a
+// resample's first step included, goes through a walk.Recorder so the
+// straggler sweep revisits only the deleted edges some worker stepped on.
 //
 // The engine is the throughput-oriented, approximately-serialized replay
 // used by benchmarks; pagerank.Maintainer layers the exactly-serialized,

@@ -207,6 +207,7 @@ func (b *burstGen) retire(i, alive int) int {
 // UpdateStats aggregates the work done by an ApplyEdges run.
 type UpdateStats struct {
 	Edges     int   // edge arrivals applied
+	Revivals  int   // arrivals that gave their source its first out-edge and ran the revival
 	Rerouted  int64 // segments whose tail was regenerated
 	StepsIn   int64 // visits added by reroutes
 	StepsOut  int64 // visits removed by reroutes
@@ -281,12 +282,8 @@ func (e *Engine) flushMuts(st *updState, stepsOut, stepsIn *int64) {
 // that died at u: each continues through the new edge with probability
 // 1-eps, restoring the geometric law. Distinct edges proceed in parallel;
 // reroutes of the same segment are serialized by SegmentID stripe locks.
-//
-// Caveat: when two goroutines insert the *first two* edges of the same
-// source concurrently, both may observe d=2 and skip the dangling revival.
-// Arrival streams are modeled after real social traffic where repeat edges
-// from one brand-new source inside one batch are rare; a strict maintainer
-// can serialize per-source if it needs exactness there.
+// Each arrival's d is its own insert's reply, so when two goroutines insert
+// a source's first two edges, exactly one of them sees d = 1 and revives.
 func (e *Engine) ApplyEdges(edges []graph.Edge, seed uint64) UpdateStats {
 	cfg := e.cfg
 	var cursor atomic.Int64
@@ -306,12 +303,13 @@ func (e *Engine) ApplyEdges(edges []graph.Edge, seed uint64) UpdateStats {
 					break
 				}
 				ed := edges[i]
-				e.g.AddEdge(ed.From, ed.To)
+				d, _ := e.g.AddEdge(ed.From, ed.To)
 				local.Edges++
-				e.applyOne(ed, rng, &st, &local)
+				e.applyOne(ed, d, rng, &st, &local)
 			}
 			statsMu.Lock()
 			stats.Edges += local.Edges
+			stats.Revivals += local.Revivals
 			stats.Rerouted += local.Rerouted
 			stats.StepsIn += local.StepsIn
 			stats.StepsOut += local.StepsOut
@@ -323,18 +321,15 @@ func (e *Engine) ApplyEdges(edges []graph.Edge, seed uint64) UpdateStats {
 	return stats
 }
 
-// applyOne reroutes the stored segments affected by one inserted edge,
-// consuming the store's pending-position index: probe the visit positions at
-// u, freeze the hit segments under their SegmentID stripes, re-read the
-// index so every position is exact (another worker may have rerouted a
-// probed segment in between), then flip coins only at the stored steps the
-// new edge can actually capture instead of walking every visitor's path.
-func (e *Engine) applyOne(ed graph.Edge, rng *rand.Rand, st *updState, stats *UpdateStats) {
+// applyOne reroutes the stored segments affected by one inserted edge, given
+// u's out-degree d from the insert's reply, consuming the store's
+// pending-position index: probe the visit positions at u, freeze the hit
+// segments under their SegmentID stripes, re-read the index so every
+// position is exact (another worker may have rerouted a probed segment in
+// between), then flip coins only at the stored steps the new edge can
+// actually capture instead of walking every visitor's path.
+func (e *Engine) applyOne(ed graph.Edge, d int, rng *rand.Rand, st *updState, stats *UpdateStats) {
 	u, v := ed.From, ed.To
-	d := e.g.OutDegree(u)
-	if d == 0 {
-		return
-	}
 	inv := 1.0 / float64(d)
 	// firstEdge: this arrival took u from dangling to degree 1. Every stored
 	// walk that visits u then ended there (a dangling node terminates every
@@ -342,6 +337,9 @@ func (e *Engine) applyOne(ed graph.Edge, rng *rand.Rand, st *updState, stats *Up
 	// terminal visit: a fresh walk arriving at u now continues with
 	// probability 1-eps, and its only possible step is the new edge.
 	firstEdge := d == 1
+	if firstEdge {
+		stats.Revivals++
+	}
 	st.hits = e.store.AppendPendingPositions(st.hits[:0], u, walkstore.Unsided)
 	if len(st.hits) == 0 {
 		return

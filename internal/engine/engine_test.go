@@ -227,6 +227,42 @@ func TestFirstEdgeRevivesDanglingWalks(t *testing.T) {
 	}
 }
 
+// TestApplyEdgesRevivesEachFreshSourceOnce inserts the first two out-edges of
+// many dangling sources with four workers, each source's pair back to back so
+// the two inserts often race. Every arrival takes d from its own insert's
+// reply, and only one insert per source can reply d = 1, so the revival must
+// run exactly once per source: Revivals equals the number of sources (a
+// source revived twice would need a second reply of 1, and one skipped would
+// leave the total short).
+func TestApplyEdgesRevivesEachFreshSourceOnce(t *testing.T) {
+	const sources, rounds = 300, 10
+	for round := uint64(0); round < rounds; round++ {
+		// Node 0 points at every source, so stored walks die at the sources.
+		g := graph.New(0)
+		for s := 1; s <= sources; s++ {
+			g.AddEdge(0, graph.NodeID(s))
+		}
+		store := walkstore.New()
+		eng := New(g, store, Config{Eps: 0.2, R: 4, Workers: 4, Seed: 61 + round})
+		eng.BuildStore(g.Nodes())
+		var edges []graph.Edge
+		for s := 1; s <= sources; s++ {
+			src := graph.NodeID(s)
+			edges = append(edges, graph.Edge{From: src, To: 0}, graph.Edge{From: src, To: sources + 1})
+		}
+		stats := eng.ApplyEdges(edges, 62+round)
+		if stats.Revivals != sources {
+			t.Fatalf("round %d: %d revivals for %d fresh sources, want exactly one each", round, stats.Revivals, sources)
+		}
+		if err := store.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.ValidateSteps(g.HasEdge); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	g := graph.New(0)
 	defer func() {

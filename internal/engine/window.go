@@ -19,11 +19,15 @@ type DeleteStats struct {
 	StepsIn   int64 // visits added by re-sampled tails
 	StepsOut  int64 // visits removed
 	Candidate int64 // stored steps through the removed edge examined
+	Suspects  int   // distinct deleted edges a parallel batch's regrown tails stepped on
+	Swept     int   // suspects still absent after the barrier, re-repaired with c = 1
 }
 
 func (d *DeleteStats) add(o DeleteStats) {
 	d.Edges += o.Edges
 	d.Missed += o.Missed
+	d.Suspects += o.Suspects
+	d.Swept += o.Swept
 	d.Rerouted += o.Rerouted
 	d.Truncated += o.Truncated
 	d.StepsIn += o.StepsIn
@@ -40,26 +44,36 @@ func (d *DeleteStats) add(o DeleteStats) {
 // geometric tail on the new graph. With d == 0 the walk terminates at u
 // instead — the revival law run in reverse. Distinct deletions proceed in
 // parallel; mutations of the same segment are serialized by SegmentID stripe
-// locks.
+// locks. Each deletion's c and d come from its own removal's reply, exact
+// however the workers interleave.
 //
-// Caveat (mirroring ApplyEdges): concurrent deletions from the same source
-// read degrees without a per-source lock, so interleavings can skew c and d
-// by the in-flight mutations; the maintainers hold per-source stripes where
-// exactness matters. One interleaving is worse than a skew: a tail
-// regenerated by a concurrent repair can sample the removed edge just before
-// it leaves the graph and index the step just after this deletion's scan,
-// stranding a stored step through a missing edge. The serialized straggler
-// sweep after the barrier closes that window — an absent edge has
-// pre-removal multiplicity 1 at sweep time, so deleteOne re-captures every
-// surviving traversal deterministically — so the missing-edge-step invariant
+// One interleaving needs more than the stripe locks: a tail regrown by a
+// concurrent repair can sample the removed edge just before it leaves the
+// graph and index the step just after this deletion's scan, stranding a
+// stored step through a missing edge. The engine holds no source lock, so
+// every sample a worker takes — a resample's first step included — goes
+// through its walk.Recorder watching the batch's edges, and the serialized
+// straggler sweep after the barrier re-repairs each recorded edge still
+// absent — with pre-removal multiplicity 1, so deleteOne re-captures every
+// surviving traversal deterministically. The missing-edge-step invariant
 // holds whenever ApplyDeletions returns.
 func (e *Engine) ApplyDeletions(edges []graph.Edge, seed uint64) DeleteStats {
 	cfg := e.cfg
+	var watch walk.EdgeSet
+	if cfg.Workers > 1 {
+		watch = walk.NewEdgeSet(edges)
+	}
+	recs := make([]*walk.Recorder, cfg.Workers)
 	var cursor atomic.Int64
 	var stats DeleteStats
 	var statsMu sync.Mutex
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Workers; w++ {
+		var nb walk.Neighborer = e.g
+		if watch != nil {
+			recs[w] = walk.NewRecorder(e.g, watch)
+			nb = recs[w]
+		}
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
@@ -72,12 +86,13 @@ func (e *Engine) ApplyDeletions(edges []graph.Edge, seed uint64) DeleteStats {
 					break
 				}
 				ed := edges[i]
-				if !e.g.RemoveEdge(ed.From, ed.To) {
+				d, _, left, ok := e.g.RemoveEdge(ed.From, ed.To)
+				if !ok {
 					local.Missed++
 					continue
 				}
 				local.Edges++
-				e.deleteOne(ed, rng, &st, &local)
+				e.deleteOne(ed, left+1, d, nb, rng, &st, &local)
 			}
 			statsMu.Lock()
 			stats.add(local)
@@ -86,41 +101,38 @@ func (e *Engine) ApplyDeletions(edges []graph.Edge, seed uint64) DeleteStats {
 	}
 	wg.Wait()
 	if cfg.Workers > 1 {
-		e.sweepStragglers(edges, seed, &stats)
+		e.sweepStragglers(walk.Distinct(recs), seed, &stats)
 	}
 	return stats
 }
 
 // sweepStragglers is the serialized pass after a parallel deletion batch: for
-// each distinct deleted edge still absent from the graph, re-run the repair.
-// deleteOne reads c = CountEdges+1 = 1 for an absent edge, so any straggler
-// step through it — indexed by a racing repair after the deleting worker's
-// scan — is captured deterministically; edges re-present at sweep time (a
-// surviving multi-edge copy) are skipped, their stored steps being legal. The
-// graph is static here, so fresh tails cannot strand new steps.
-func (e *Engine) sweepStragglers(edges []graph.Edge, seed uint64, stats *DeleteStats) {
+// each suspect — a deleted edge some worker's sample stepped on — still
+// absent from the graph, re-run the repair with c = 1, so any straggler step
+// through it, indexed by a racing repair after the deleting worker's scan,
+// is captured deterministically. Suspects re-present at sweep time (a
+// surviving multi-edge copy) are skipped, their stored steps being legal.
+// The graph is static here, so fresh tails cannot strand new steps.
+func (e *Engine) sweepStragglers(suspects []graph.Edge, seed uint64, stats *DeleteStats) {
 	rng := rand.New(rand.NewPCG(seed, uint64(e.cfg.Workers)))
 	var st updState
-	seen := make(map[graph.Edge]struct{}, len(edges))
-	for _, ed := range edges {
-		if _, dup := seen[ed]; dup {
-			continue
-		}
-		seen[ed] = struct{}{}
+	stats.Suspects += len(suspects)
+	for _, ed := range suspects {
 		if e.g.HasEdge(ed.From, ed.To) {
 			continue
 		}
-		e.deleteOne(ed, rng, &st, stats)
+		stats.Swept++
+		e.deleteOne(ed, 1, e.g.OutDegree(ed.From), e.g, rng, &st, stats)
 	}
 }
 
 // deleteOne repairs the stored segments affected by one removed edge; the
 // caller has already removed it from the graph (so fresh tails sample the
-// post-removal graph). Same probe/freeze/re-read scheme as applyOne.
-func (e *Engine) deleteOne(ed graph.Edge, rng *rand.Rand, st *updState, stats *DeleteStats) {
+// post-removal graph) and passes its pre-removal multiplicity c and u's
+// surviving out-degree d. Every sample goes through nb. Same
+// probe/freeze/re-read scheme as applyOne.
+func (e *Engine) deleteOne(ed graph.Edge, c, d int, nb walk.Neighborer, rng *rand.Rand, st *updState, stats *DeleteStats) {
 	u, v := ed.From, ed.To
-	c := e.g.CountEdges(u, v) + 1 // pre-removal multiplicity
-	d := e.g.OutDegree(u)         // surviving out-degree
 	inv := 1.0 / float64(c)
 	st.hits = e.store.AppendPendingPositions(st.hits[:0], u, walkstore.Unsided)
 	if len(st.hits) == 0 {
@@ -170,10 +182,10 @@ func (e *Engine) deleteOne(ed graph.Edge, rng *rand.Rand, st *updState, stats *D
 		}
 		resampled := false
 		if d > 0 {
-			if to, ok := e.g.RandomOutNeighbor(u, rng); ok {
+			if to, ok := nb.RandomOutNeighbor(u, rng); ok {
 				start := len(st.tailBuf)
 				st.tailBuf = append(st.tailBuf, to)
-				st.tailBuf = walk.AppendContinue(e.g, to, e.cfg.Eps, rng, st.tailBuf)
+				st.tailBuf = walk.AppendContinue(nb, to, e.cfg.Eps, rng, st.tailBuf)
 				st.muts = append(st.muts, pendingMut{id: id, keep: capture + 1, start: start, end: len(st.tailBuf)})
 				stats.Rerouted++
 				resampled = true
@@ -216,18 +228,19 @@ func (e *Engine) ApplyWindow(stream []graph.Edge, capacity int, seed uint64) Win
 	var st updState
 	var stats WindowStats
 	for _, ed := range stream {
-		e.g.AddEdge(ed.From, ed.To)
+		d, _ := e.g.AddEdge(ed.From, ed.To)
 		stats.Arrived++
 		stats.Arrival.Edges++
-		e.applyOne(ed, rng, &st, &stats.Arrival)
+		e.applyOne(ed, d, rng, &st, &stats.Arrival)
 		if old, ok := win.Push(ed); ok {
-			if !e.g.RemoveEdge(old.From, old.To) {
+			d, _, left, ok := e.g.RemoveEdge(old.From, old.To)
+			if !ok {
 				stats.Delete.Missed++ // window edge vanished underneath us
 				continue
 			}
 			stats.Expired++
 			stats.Delete.Edges++
-			e.deleteOne(old, rng, &st, &stats.Delete)
+			e.deleteOne(old, left+1, d, e.g, rng, &st, &stats.Delete)
 		}
 		if e.cfg.CompactEvery > 0 && stats.Arrived%e.cfg.CompactEvery == 0 {
 			e.store.MaybeCompact()

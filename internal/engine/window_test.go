@@ -44,6 +44,67 @@ func TestApplyDeletionsMaintainsInvariants(t *testing.T) {
 	}
 }
 
+// TestApplyDeletionsSweepRevisitsOnlySuspects runs the engine's lock-free
+// parallel deletion batches with four workers on small dense graphs over
+// twenty seeds, refilling the graph through ApplyEdges between batches. With
+// no source lock, even a resample's first step can race a deletion, so every
+// sample goes through a worker's recorder. After every batch no stored step
+// may cross a missing edge, and the sweep may have re-repaired only suspects:
+// distinct deleted edges some sampled step was recorded on.
+func TestApplyDeletionsSweepRevisitsOnlySuspects(t *testing.T) {
+	rounds := 6
+	if testing.Short() {
+		rounds = 3
+	}
+	var suspects, swept int
+	for seed := uint64(1); seed <= 20; seed++ {
+		const n = 12
+		g := graph.New(n)
+		for i := 0; i < n; i++ {
+			g.AddNode(graph.NodeID(i))
+		}
+		store := walkstore.New()
+		eng := New(g, store, Config{Eps: 0.15, R: 10, Workers: 4, Seed: seed})
+		eng.BuildStore(g.Nodes())
+		rng := rand.New(rand.NewPCG(seed, 91))
+		for round := 0; round < rounds; round++ {
+			var adds []graph.Edge
+			for len(adds) < 60 {
+				if u, v := graph.NodeID(rng.IntN(n)), graph.NodeID(rng.IntN(n)); u != v {
+					adds = append(adds, graph.Edge{From: u, To: v})
+				}
+			}
+			eng.ApplyEdges(adds, seed<<8|uint64(2*round))
+			// Delete half of the graph's edges, copies included, in random order.
+			edges := gen.RandomPermutationStream(g, rng)
+			dels := edges[:len(edges)/2]
+			distinct := map[graph.Edge]bool{}
+			for _, ed := range dels {
+				distinct[ed] = true
+			}
+			stats := eng.ApplyDeletions(dels, seed<<8|uint64(2*round+1))
+			if stats.Edges != len(dels) {
+				t.Fatalf("seed %d round %d: applied %d of %d deletions", seed, round, stats.Edges, len(dels))
+			}
+			if err := store.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			if err := store.ValidateSteps(g.HasEdge); err != nil {
+				t.Fatalf("seed %d round %d: %v", seed, round, err)
+			}
+			if stats.Swept > stats.Suspects || stats.Suspects > len(distinct) {
+				t.Fatalf("seed %d round %d: swept %d of %d suspects, %d distinct deletions", seed, round, stats.Swept, stats.Suspects, len(distinct))
+			}
+			suspects += stats.Suspects
+			swept += stats.Swept
+		}
+	}
+	if suspects == 0 {
+		t.Fatal("no sampled step ever landed on a deleted edge: the sweep went unexercised")
+	}
+	t.Logf("%d suspects, %d swept", suspects, swept)
+}
+
 // TestApplyWindowHoldsExactlyTheWindow pins the sliding-window driver: after
 // streaming m arrivals through a capacity-c window over an edgeless start,
 // the graph holds exactly the last min(c, m) arrivals and the stored walks

@@ -36,6 +36,15 @@
 // removal costs O(out-degree of u + distance of the copy from the newest
 // end of v's in-row), so expiring a young edge into a hub no longer reads
 // the hub's whole in-row.
+//
+// Writes reply with what the repair rule reads next, under the shard locks
+// they already hold: AddEdge returns u's out-degree and v's in-degree after
+// the insert, RemoveEdge those two plus the copies of u -> v left (its
+// out-row scan passes every later copy anyway). The replies are exact
+// against concurrent writers — k racing inserts from one source get back
+// exactly 1..k — so no caller needs a second read, locked or not
+// (docs/DESIGN.md#6-concurrency-model).
+//
 // Event tags an edge as an arrival or a deletion for mixed churn streams,
 // and Window is the fixed-capacity FIFO ring the engine's sliding-window
 // driver expires old arrivals through.

@@ -233,7 +233,11 @@ func unlockPair(su, sv *shard) {
 // AddEdge inserts the directed edge u -> v, implicitly adding missing
 // endpoints. Parallel edges are permitted (the graph is a multigraph); the
 // caller decides whether duplicates make sense for its workload.
-func (g *Graph) AddEdge(u, v NodeID) {
+//
+// The reply is u's out-degree and v's in-degree after the insert, read under
+// the shard locks the insert holds: exact however other writers race, and
+// the degrees the repair rule needs without a second read.
+func (g *Graph) AddEdge(u, v NodeID) (out, in int) {
 	su, sv := g.lockPair(u, v)
 	// Create both rows before taking either pointer: growing a shard's dense
 	// array relocates its rows, so a pointer taken before the second
@@ -244,9 +248,11 @@ func (g *Graph) AddEdge(u, v NodeID) {
 	rv := sv.row(v, g.slotBits)
 	ru.out = append(ru.out, v)
 	rv.in = append(rv.in, u)
+	out, in = len(ru.out), len(rv.in)
 	su.edges++
 	g.edges.Add(1)
 	unlockPair(su, sv)
+	return out, in
 }
 
 // RemoveEdge deletes one copy of u -> v and reports whether an edge was
@@ -255,23 +261,29 @@ func (g *Graph) AddEdge(u, v NodeID) {
 // reproduces both rows' order. When u -> v has a single copy, v's in-row
 // holds u exactly once and is searched from its newest end, where AddEdge
 // appends: deleting a young edge into a hub then costs the distance from
-// that end, not the hub's in-degree. The out-row is always scanned in full
-// up to a second copy, O(out-degree).
-func (g *Graph) RemoveEdge(u, v NodeID) bool {
+// that end, not the hub's in-degree. The out-row is always scanned in full,
+// O(out-degree).
+//
+// On a removal the reply also carries u's out-degree and v's in-degree after
+// it and the copies of u -> v left, all read under the shard locks the
+// removal holds. The out-row scan walks past every later copy anyway, so
+// counting them is free. When ok is false the three counts are zero.
+func (g *Graph) RemoveEdge(u, v NodeID) (out, in, left int, ok bool) {
 	su, sv := g.lockPair(u, v)
 	defer unlockPair(su, sv)
 	ru := su.row(u, g.slotBits)
 	if ru == nil {
-		return false
+		return 0, 0, 0, false
 	}
 	i := slices.Index(ru.out, v)
 	if i < 0 {
-		return false
+		return 0, 0, 0, false
 	}
+	left = count(ru.out[i+1:], v)
 	rv := sv.row(v, g.slotBits)
 	j := -1
 	if rv != nil {
-		if slices.Contains(ru.out[i+1:], v) {
+		if left > 0 {
 			j = slices.Index(rv.in, u)
 		} else {
 			j = lastIndex(rv.in, u)
@@ -286,7 +298,18 @@ func (g *Graph) RemoveEdge(u, v NodeID) bool {
 	swapDelete(&rv.in, j)
 	su.edges--
 	g.edges.Add(-1)
-	return true
+	return len(ru.out), len(rv.in), left, true
+}
+
+// count returns the number of occurrences of target in s.
+func count(s []NodeID, target NodeID) int {
+	n := 0
+	for _, x := range s {
+		if x == target {
+			n++
+		}
+	}
+	return n
 }
 
 // lastIndex returns the index of the last occurrence of target in s, or -1.
@@ -318,22 +341,17 @@ func (g *Graph) HasEdge(u, v NodeID) bool {
 }
 
 // CountEdges returns the multiplicity of u -> v: how many parallel copies of
-// the edge exist. The deletion repair rule needs it — removing one copy of a
-// multi-edge perturbs each stored step through it with probability 1/c, not
-// deterministically.
+// the edge exist. A deletion's repair takes its multiplicity from
+// RemoveEdge's reply instead; this read serves the straggler sweep's
+// is-it-still-absent check and tests.
 func (g *Graph) CountEdges(u, v NodeID) int {
 	sh := &g.shards[g.shardOf(u)]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	n := 0
 	if r := sh.row(u, g.slotBits); r != nil {
-		for _, x := range r.out {
-			if x == v {
-				n++
-			}
-		}
+		return count(r.out, v)
 	}
-	return n
+	return 0
 }
 
 // HasNode reports whether v is present.

@@ -31,8 +31,8 @@ func TestAddRemoveRoundTrip(t *testing.T) {
 	if !g.HasEdge(1, 2) || g.HasEdge(3, 1) {
 		t.Fatal("HasEdge wrong")
 	}
-	if !g.RemoveEdge(1, 2) {
-		t.Fatal("RemoveEdge(1,2) reported missing")
+	if out, in, left, ok := g.RemoveEdge(1, 2); !ok || out != 2 || in != 1 || left != 1 {
+		t.Fatalf("RemoveEdge(1,2) = (%d, %d, %d, %v), want (2, 1, 1, true)", out, in, left, ok)
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
@@ -40,13 +40,13 @@ func TestAddRemoveRoundTrip(t *testing.T) {
 	if !g.HasEdge(1, 2) {
 		t.Fatal("one parallel edge should remain")
 	}
-	if !g.RemoveEdge(1, 2) {
-		t.Fatal("second RemoveEdge(1,2) reported missing")
+	if out, in, left, ok := g.RemoveEdge(1, 2); !ok || out != 1 || in != 0 || left != 0 {
+		t.Fatalf("second RemoveEdge(1,2) = (%d, %d, %d, %v), want (1, 0, 0, true)", out, in, left, ok)
 	}
-	if g.RemoveEdge(1, 2) {
+	if _, _, _, ok := g.RemoveEdge(1, 2); ok {
 		t.Fatal("third RemoveEdge(1,2) should report missing")
 	}
-	if g.RemoveEdge(9, 9) {
+	if _, _, _, ok := g.RemoveEdge(9, 9); ok {
 		t.Fatal("RemoveEdge of unknown edge should report missing")
 	}
 	if err := g.Validate(); err != nil {
@@ -148,6 +148,40 @@ func TestCloneIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAddEdgeReplyLinearizable has k goroutines insert edges from one fresh
+// source at once (run it with -race): each insert's reply is read under the
+// shard locks that made it, so the out-degrees they get back are exactly
+// 1..k — no two inserts can see the same degree, and none can miss its own.
+func TestAddEdgeReplyLinearizable(t *testing.T) {
+	const k, rounds = 8, 50
+	g := NewWithShards(0, 8)
+	for r := 0; r < rounds; r++ {
+		src := NodeID(1000 + r)
+		got := make([]int, k)
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for i := 0; i < k; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				got[i], _ = g.AddEdge(src, NodeID(i))
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		slices.Sort(got)
+		for i, d := range got {
+			if d != i+1 {
+				t.Fatalf("round %d: replied out-degrees %v, want 1..%d", r, got, k)
+			}
+		}
+	}
+	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }

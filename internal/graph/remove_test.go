@@ -87,18 +87,36 @@ func graphNode(x byte) NodeID {
 //
 // After every operation it compares both touched nodes' rows element for
 // element, CountEdges and NumEdges, and runs Validate; at the end, every row.
+// Every write's reply is checked against the model as it stands after the
+// write: AddEdge's out- and in-degree, RemoveEdge's out- and in-degree,
+// copies left and whether an edge was removed.
 func runGraphOps(t *testing.T, data []byte) (st graphOpStats) {
 	t.Helper()
 	g := NewWithShards(0, 4)
 	m := refGraph{}
 	edges := 0
+	add := func(u, v NodeID) {
+		out, in := g.AddEdge(u, v)
+		m.add(u, v)
+		if wo, wi := len(m[u].out), len(m[v].in); out != wo || in != wi {
+			t.Fatalf("AddEdge(%d, %d) replied (%d, %d), model (%d, %d)", u, v, out, in, wo, wi)
+		}
+		edges++
+	}
 	remove := func(u, v NodeID) {
 		c := m.copies(u, v)
-		if got, want := g.RemoveEdge(u, v), m.remove(u, v); got != want {
-			t.Fatalf("RemoveEdge(%d, %d) = %v, model says %v", u, v, got, want)
+		out, in, left, ok := g.RemoveEdge(u, v)
+		if want := m.remove(u, v); ok != want {
+			t.Fatalf("RemoveEdge(%d, %d) = %v, model says %v", u, v, ok, want)
 		}
 		if c == 0 {
+			if out != 0 || in != 0 || left != 0 {
+				t.Fatalf("RemoveEdge(%d, %d) missed but replied (%d, %d, %d)", u, v, out, in, left)
+			}
 			return
+		}
+		if wo, wi, wl := len(m[u].out), len(m[v].in), m.copies(u, v); out != wo || in != wi || left != wl {
+			t.Fatalf("RemoveEdge(%d, %d) replied (%d, %d, %d), model (%d, %d, %d)", u, v, out, in, left, wo, wi, wl)
 		}
 		edges--
 		if u == v {
@@ -113,9 +131,7 @@ func runGraphOps(t *testing.T, data []byte) (st graphOpStats) {
 		u, v := graphNode(a), graphNode(b)
 		switch kind % 4 {
 		case 0:
-			g.AddEdge(u, v)
-			m.add(u, v)
-			edges++
+			add(u, v)
 		case 1:
 			remove(u, v)
 		case 2:
@@ -133,11 +149,8 @@ func runGraphOps(t *testing.T, data []byte) (st graphOpStats) {
 			remove(u, v)
 		case 3:
 			for k := 0; k < 128; k++ {
-				src := NodeID(64 + (int(a)*128+k)%2048)
-				g.AddEdge(src, v)
-				m.add(src, v)
+				add(NodeID(64+(int(a)*128+k)%2048), v)
 			}
-			edges += 128
 			u = v
 		}
 		st.maxCopies = max(st.maxCopies, m.copies(u, v))

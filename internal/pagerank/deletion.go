@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"fastppr/internal/graph"
+	"fastppr/internal/walk"
 	"fastppr/internal/walkstore"
 )
 
@@ -51,10 +52,10 @@ func (m *Maintainer) ApplyDeletion(ed graph.Edge) {
 // serialized-vs-parallel regime as ApplyEdges.
 func (m *Maintainer) ApplyDeletions(edges []graph.Edge) {
 	if m.cfg.UpdateWorkers > 1 {
-		m.eventsParallel(len(edges), m.cfg.UpdateWorkers, func(i int, w *updater) {
+		suspects := m.eventsParallel(len(edges), m.cfg.UpdateWorkers, edges, func(i int, w *updater) {
 			m.applyOneDel(edges[i], w)
 		})
-		m.sweepStragglers(edges)
+		m.sweepStragglers(suspects)
 		return
 	}
 	m.mu.Lock()
@@ -73,20 +74,20 @@ func (m *Maintainer) ApplyDeletions(edges []graph.Edge) {
 // reordered.
 func (m *Maintainer) ApplyEvents(events []graph.Event) {
 	if m.cfg.UpdateWorkers > 1 {
-		m.eventsParallel(len(events), m.cfg.UpdateWorkers, func(i int, w *updater) {
-			if events[i].Del {
-				m.applyOneDel(events[i].Edge, w)
-			} else {
-				m.applyOne(events[i].Edge, w)
-			}
-		})
 		var dels []graph.Edge
 		for _, ev := range events {
 			if ev.Del {
 				dels = append(dels, ev.Edge)
 			}
 		}
-		m.sweepStragglers(dels)
+		suspects := m.eventsParallel(len(events), m.cfg.UpdateWorkers, dels, func(i int, w *updater) {
+			if events[i].Del {
+				m.applyOneDel(events[i].Edge, w)
+			} else {
+				m.applyOne(events[i].Edge, w)
+			}
+		})
+		m.sweepStragglers(suspects)
 		return
 	}
 	m.mu.Lock()
@@ -101,15 +102,27 @@ func (m *Maintainer) ApplyEvents(events []graph.Event) {
 }
 
 // eventsParallel runs apply(i) for i in [0, n) over the worker pool, each
-// worker with its own updater seeded like applyParallel's.
-func (m *Maintainer) eventsParallel(n, workers int, apply func(int, *updater)) {
+// worker with its own updater seeded like applyParallel's. When the batch
+// deletes edges (dels), every worker samples through its own walk.Recorder
+// watching them, and the distinct edges recorded come back as the straggler
+// sweep's suspects.
+func (m *Maintainer) eventsParallel(n, workers int, dels []graph.Edge, apply func(int, *updater)) (suspects []graph.Edge) {
+	var watch walk.EdgeSet
+	if len(dels) > 0 {
+		watch = walk.NewEdgeSet(dels)
+	}
+	recs := make([]*walk.Recorder, workers)
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	for wk := 0; wk < workers; wk++ {
+		w := newUpdater(rand.New(rand.NewPCG(m.cfg.Seed, 0x9a6e0000+uint64(wk))), m.soc)
+		if watch != nil {
+			recs[wk] = walk.NewRecorder(m.soc, watch)
+			w.nb = recs[wk]
+		}
 		wg.Add(1)
-		go func(wk int) {
+		go func() {
 			defer wg.Done()
-			w := newUpdater(rand.New(rand.NewPCG(m.cfg.Seed, 0x9a6e0000+uint64(wk))))
 			for {
 				i := int(cursor.Add(1)) - 1
 				if i >= n {
@@ -117,37 +130,39 @@ func (m *Maintainer) eventsParallel(n, workers int, apply func(int, *updater)) {
 				}
 				apply(i, w)
 			}
-		}(wk)
+		}()
 	}
 	wg.Wait()
+	return walk.Distinct(recs)
 }
 
 // sweepStragglers is the serialized pass after a parallel deletion batch. A
-// tail regenerated by a concurrent repair can sample a deleted edge just
-// before it leaves the graph and index the step just after the deleting
-// worker's scan, stranding a stored step through a missing edge. For each
-// distinct deleted edge still absent, re-running the repair with pre-removal
-// multiplicity 1 captures any such straggler deterministically; an edge
-// re-present at sweep time (a surviving multi-edge copy, or re-added by an
-// interleaved arrival) is skipped — its stored steps are legal. The graph is
-// quiescent under m.mu, so fresh tails cannot strand new steps, and the
-// missing-edge-step invariant holds whenever a batch call returns.
-func (m *Maintainer) sweepStragglers(dels []graph.Edge) {
-	if len(dels) == 0 {
+// tail regrown by a concurrent repair can sample a deleted edge just before
+// it leaves the graph and index the step just after the deleting worker's
+// scan, stranding a stored step through a missing edge. Such a straggler
+// needs another worker's write during the batch, and every step a worker
+// writes is either sampled from the live graph — through the worker's
+// Recorder, so its edge is a suspect — or a repair's first step out of the
+// source it holds the stripe of, which every deletion of that edge holds too
+// and so sees. For each suspect still absent, re-running the repair with
+// pre-removal multiplicity 1 captures its stragglers deterministically; a
+// suspect re-present at sweep time (a surviving multi-edge copy, or re-added
+// by an interleaved arrival) is skipped — its stored steps are legal. The
+// graph is quiescent under m.mu, so fresh tails cannot strand new steps, and
+// the missing-edge-step invariant holds whenever a batch call returns.
+func (m *Maintainer) sweepStragglers(suspects []graph.Edge) {
+	if len(suspects) == 0 {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	seen := make(map[graph.Edge]struct{}, len(dels))
-	for _, ed := range dels {
-		if _, dup := seen[ed]; dup {
-			continue
-		}
-		seen[ed] = struct{}{}
+	m.cnt.suspects.Add(int64(len(suspects)))
+	for _, ed := range suspects {
 		u, v := ed.From, ed.To
 		lk := m.srcMu.Of(uint64(u))
 		lk.Lock()
 		if m.soc.CountEdges(u, v) == 0 {
+			m.cnt.swept.Add(1)
 			m.unroute(u, v, 1, m.soc.OutDegree(u), m.serial)
 		}
 		lk.Unlock()
@@ -155,24 +170,23 @@ func (m *Maintainer) sweepStragglers(dels []graph.Edge) {
 }
 
 // applyOneDel removes one copy of (u, v) and repairs the stored walks under
-// u's source stripe — the same lock the arrival path holds, so u's
-// out-degree and multiplicity reads are exact against concurrent arrivals
-// from u.
+// u's source stripe — the same lock the arrival path holds, so no other
+// write from u lands between the removal and its repair.
 func (m *Maintainer) applyOneDel(ed graph.Edge, w *updater) {
 	m.cnt.deletions.Add(1)
 	u, v := ed.From, ed.To
 	lk := m.srcMu.Of(uint64(u))
 	lk.Lock()
-	if !m.soc.RemoveEdge(u, v) {
+	d, _, left, ok := m.soc.RemoveEdge(u, v)
+	if !ok {
 		lk.Unlock()
 		m.cnt.delMisses.Add(1)
 		return
 	}
 	// The edge is removed before the repair so fresh tails sample the new
-	// graph; the pre-removal multiplicity is the surviving count plus one.
-	c := m.soc.CountEdges(u, v) + 1
-	d := m.soc.OutDegree(u)
-	m.unroute(u, v, c, d, w)
+	// graph. The write's reply carries u's surviving out-degree and the copies
+	// left; the pre-removal multiplicity is those plus the removed one.
+	m.unroute(u, v, left+1, d, w)
 	lk.Unlock()
 	m.maybeCompact()
 }
@@ -281,8 +295,8 @@ func (m *Maintainer) resample(id walkstore.SegmentID, keep int, u graph.NodeID, 
 			m.redirect(id, keep, to, w)
 			return true
 		}
-		// Unreachable under the source stripe (d was read under the same
-		// lock); fall through to truncation for safety.
+		// Unreachable under the source stripe (d is the reply of a write
+		// made under the same lock); fall through to truncation for safety.
 	}
 	m.truncate(id, keep, w)
 	return false

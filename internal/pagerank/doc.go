@@ -33,7 +33,8 @@
 // Updates run serialized by default (bitwise reproducible per seed) or
 // concurrently with Config.UpdateWorkers > 1: arrivals are serialized per
 // source stripe (out-degree only moves on arrivals from that source, so the
-// degree read stays exact), the affected segments are frozen under
+// degree in the write's reply still holds when the repair runs), the
+// affected segments are frozen under
 // SegmentID stripe locks before each repair scan (the index re-read under
 // the freeze keeps every hit position exact), and the scan retries against
 // the frozen enumeration if cross-stripe interference moved the candidate
@@ -53,11 +54,15 @@
 // flavor bitwise coin-identical), and leave the arrival-path invariants
 // (SlowNoops == 0) untouched — see docs/DESIGN.md#10-deletions--windows.
 //
-// All graph access on the update path — the edge write, the degree lookup,
-// and every step of regenerated walk tails — is routed through
-// socialstore.Store, so the call accounting the paper's cost analysis is
-// stated in falls out of Metrics(); per-arrival work beyond that is visible
-// in Counters().
+// All graph access on the update path — the edge write and every step of
+// regenerated walk tails — is routed through socialstore.Store, so the call
+// accounting the paper's cost analysis is stated in falls out of Metrics();
+// per-arrival work beyond that is visible in Counters(). The degrees and
+// multiplicity a repair needs ride the write's reply rather than costing
+// reads of their own (docs/DESIGN.md#1-data-flow). A parallel deletion batch
+// samples through a walk.Recorder per worker, and the straggler sweep after
+// it revisits only the deleted edges those recorders saw stepped on
+// (Counters.Suspects, Counters.Swept).
 //
 // Index writes are phase-batched (docs/DESIGN.md#11-batching--compaction):
 // reroute and revival tails are sampled inline — preserving the bitwise

@@ -87,6 +87,10 @@ type Counters struct {
 	DelMisses    int64 // deletions of edges not present in the graph
 	DelRerouted  int64 // segments re-sampled through a surviving out-edge
 	DelTruncated int64 // segments cut short by the reverse revival (source went dangling)
+
+	// Straggler-sweep accounting, parallel deletion batches only.
+	Suspects int64 // distinct deleted edges a regrown tail stepped on during the batch
+	Swept    int64 // suspects still absent after the barrier, re-repaired with c = 1
 }
 
 // SkipRate returns the fraction of arrivals the fast path skipped outright.
@@ -104,6 +108,7 @@ type counters struct {
 	rerouted, revived, seeded, stepsIn, stepsOut          atomic.Int64
 	estimates                                             atomic.Int64
 	deletions, delMisses, delRerouted, delTruncated       atomic.Int64
+	suspects, swept                                       atomic.Int64
 }
 
 func (c *counters) snapshot() Counters {
@@ -123,13 +128,19 @@ func (c *counters) snapshot() Counters {
 		DelMisses:    c.delMisses.Load(),
 		DelRerouted:  c.delRerouted.Load(),
 		DelTruncated: c.delTruncated.Load(),
+		Suspects:     c.suspects.Load(),
+		Swept:        c.swept.Load(),
 	}
 }
 
 const (
-	// sourceStripes serializes arrivals by source: a node's out-degree only
-	// moves on arrivals from that node, so one stripe lock makes the
-	// (AddEdge, OutDegree, repair) triple atomic per source.
+	// sourceStripes serializes arrivals and deletions by source: a node's
+	// out-degree only moves on writes from that node, so one stripe lock
+	// makes the (write, repair) pair atomic per source — the repair's
+	// out-degree is the write's own reply, and no other write from the
+	// source lands before the repair is done. A repair's first step out of
+	// the source is therefore ordered with every deletion of that step's
+	// edge, which is why it need not be watched by the straggler sweep.
 	sourceStripes = 256
 	// segmentStripes freezes the segments a repair scans, so the scan's
 	// candidate enumeration cannot shift underneath the pre-sampled
@@ -140,7 +151,11 @@ const (
 // updater is one update goroutine's private state: its RNG and reusable
 // buffers. The serialized path owns one; each parallel worker gets its own.
 type updater struct {
-	rng   *rand.Rand
+	rng *rand.Rand
+	// nb samples regrown tails and seeded walks: the social store, or during
+	// a parallel deletion batch a walk.Recorder over it that notes every step
+	// on one of the batch's deleted edges for the straggler sweep.
+	nb    walk.Neighborer
 	tail  []graph.NodeID
 	keys  []uint64
 	idx   []int
@@ -156,7 +171,7 @@ type updater struct {
 	tms     []walkstore.TailMutation
 }
 
-func newUpdater(rng *rand.Rand) *updater { return &updater{rng: rng} }
+func newUpdater(rng *rand.Rand, nb walk.Neighborer) *updater { return &updater{rng: rng, nb: nb} }
 
 // pendingMut is one deferred ReplaceTail: the repair phase samples the fresh
 // tail inline (preserving the exact RNG consumption order) into w.tailBuf and
@@ -228,7 +243,7 @@ func NewWithStore(soc *socialstore.Store, cfg Config, walks *walkstore.Store) *M
 		walks:     walks,
 		eng:       eng,
 		cfg:       cfg,
-		serial:    newUpdater(rand.New(pcg)),
+		serial:    newUpdater(rand.New(pcg), soc),
 		serialPCG: pcg,
 		known:     make(map[graph.NodeID]bool),
 		srcMu:     stripes.NewMutexSet(sourceStripes),
@@ -339,7 +354,7 @@ func (m *Maintainer) applyParallel(edges []graph.Edge, workers int) {
 		wg.Add(1)
 		go func(wk int) {
 			defer wg.Done()
-			w := newUpdater(rand.New(rand.NewPCG(m.cfg.Seed, 0x9a6e0000+uint64(wk))))
+			w := newUpdater(rand.New(rand.NewPCG(m.cfg.Seed, 0x9a6e0000+uint64(wk))), m.soc)
 			for {
 				i := int(cursor.Add(1)) - 1
 				if i >= len(edges) {
@@ -357,8 +372,7 @@ func (m *Maintainer) applyOne(ed graph.Edge, w *updater) {
 	u, v := ed.From, ed.To
 	lk := m.srcMu.Of(uint64(u))
 	lk.Lock()
-	m.soc.AddEdge(u, v)
-	d := m.soc.OutDegree(u)
+	d, _ := m.soc.AddEdge(u, v) // u's new out-degree rides the write's reply
 	// Repair walks sampled before this edge existed, then seed new
 	// endpoints: freshly seeded walks already sample the new edge, so
 	// rerouting them too would over-weight it.
@@ -651,7 +665,7 @@ func (m *Maintainer) reviveScanIndexed(hits []walkstore.PosHit, v graph.NodeID, 
 func (m *Maintainer) redirect(id walkstore.SegmentID, keep int, v graph.NodeID, w *updater) {
 	if m.cfg.UnbatchedWrites {
 		w.tail = append(w.tail[:0], v)
-		w.tail = walk.AppendContinue(m.soc, v, m.cfg.Eps, w.rng, w.tail)
+		w.tail = walk.AppendContinue(w.nb, v, m.cfg.Eps, w.rng, w.tail)
 		removed, added := m.walks.ReplaceTail(id, keep, w.tail)
 		m.cnt.stepsOut.Add(int64(removed))
 		m.cnt.stepsIn.Add(int64(added))
@@ -659,7 +673,7 @@ func (m *Maintainer) redirect(id walkstore.SegmentID, keep int, v graph.NodeID, 
 	}
 	start := len(w.tailBuf)
 	w.tailBuf = append(w.tailBuf, v)
-	w.tailBuf = walk.AppendContinue(m.soc, v, m.cfg.Eps, w.rng, w.tailBuf)
+	w.tailBuf = walk.AppendContinue(w.nb, v, m.cfg.Eps, w.rng, w.tailBuf)
 	w.muts = append(w.muts, pendingMut{id: id, keep: keep, start: start, end: len(w.tailBuf)})
 }
 
@@ -739,7 +753,7 @@ func (m *Maintainer) ensureNode(v graph.NodeID, w *updater) {
 	m.knownMu.Unlock()
 	paths := make([][]graph.NodeID, m.cfg.R)
 	for i := range paths {
-		seg := walk.PageRank(m.soc, v, m.cfg.Eps, w.rng)
+		seg := walk.PageRank(w.nb, v, m.cfg.Eps, w.rng)
 		paths[i] = seg.Path
 		m.cnt.stepsIn.Add(int64(len(seg.Path)))
 	}

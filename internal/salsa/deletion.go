@@ -52,10 +52,10 @@ func (m *Maintainer) ApplyDeletion(ed graph.Edge) {
 // serialized-vs-parallel regime as ApplyEdges.
 func (m *Maintainer) ApplyDeletions(edges []graph.Edge) {
 	if m.cfg.UpdateWorkers > 1 {
-		m.eventsParallel(len(edges), m.cfg.UpdateWorkers, func(i int, w *updater) {
+		suspects := m.eventsParallel(len(edges), m.cfg.UpdateWorkers, edges, func(i int, w *updater) {
 			m.applyOneDel(edges[i], w)
 		})
-		m.sweepStragglers(edges)
+		m.sweepStragglers(suspects)
 		return
 	}
 	m.mu.Lock()
@@ -74,20 +74,20 @@ func (m *Maintainer) ApplyDeletions(edges []graph.Edge) {
 // reordered.
 func (m *Maintainer) ApplyEvents(events []graph.Event) {
 	if m.cfg.UpdateWorkers > 1 {
-		m.eventsParallel(len(events), m.cfg.UpdateWorkers, func(i int, w *updater) {
-			if events[i].Del {
-				m.applyOneDel(events[i].Edge, w)
-			} else {
-				m.applyOne(events[i].Edge, w)
-			}
-		})
 		var dels []graph.Edge
 		for _, ev := range events {
 			if ev.Del {
 				dels = append(dels, ev.Edge)
 			}
 		}
-		m.sweepStragglers(dels)
+		suspects := m.eventsParallel(len(events), m.cfg.UpdateWorkers, dels, func(i int, w *updater) {
+			if events[i].Del {
+				m.applyOneDel(events[i].Edge, w)
+			} else {
+				m.applyOne(events[i].Edge, w)
+			}
+		})
+		m.sweepStragglers(suspects)
 		return
 	}
 	m.mu.Lock()
@@ -102,15 +102,28 @@ func (m *Maintainer) ApplyEvents(events []graph.Event) {
 }
 
 // eventsParallel runs apply(i) for i in [0, n) over the worker pool, each
-// worker with its own updater seeded like applyParallel's.
-func (m *Maintainer) eventsParallel(n, workers int, apply func(int, *updater)) {
+// worker with its own updater seeded like applyParallel's. When the batch
+// deletes edges (dels), every worker samples through its own walk.Recorder
+// watching them, and the distinct edges recorded — forward and backward
+// steps alike, each as the edge it traversed — come back as the straggler
+// sweep's suspects.
+func (m *Maintainer) eventsParallel(n, workers int, dels []graph.Edge, apply func(int, *updater)) (suspects []graph.Edge) {
+	var watch walk.EdgeSet
+	if len(dels) > 0 {
+		watch = walk.NewEdgeSet(dels)
+	}
+	recs := make([]*walk.Recorder, workers)
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	for wk := 0; wk < workers; wk++ {
+		w := newUpdater(rand.New(rand.NewPCG(m.cfg.Seed, 0x5a15a0000+uint64(wk))), m.soc)
+		if watch != nil {
+			recs[wk] = walk.NewRecorder(m.soc, watch)
+			w.nb = recs[wk]
+		}
 		wg.Add(1)
-		go func(wk int) {
+		go func() {
 			defer wg.Done()
-			w := newUpdater(rand.New(rand.NewPCG(m.cfg.Seed, 0x5a15a0000+uint64(wk))))
 			for {
 				i := int(cursor.Add(1)) - 1
 				if i >= n {
@@ -118,39 +131,41 @@ func (m *Maintainer) eventsParallel(n, workers int, apply func(int, *updater)) {
 				}
 				apply(i, w)
 			}
-		}(wk)
+		}()
 	}
 	wg.Wait()
+	return walk.Distinct(recs)
 }
 
 // sweepStragglers is the serialized pass after a parallel deletion batch. A
-// tail regenerated by a concurrent repair can sample a deleted edge just
-// before it leaves the graph and index the step just after the deleting
-// worker's scans, stranding a stored forward or backward step through a
-// missing edge. For each distinct deleted edge still absent, re-running both
-// sided repairs with pre-removal multiplicity 1 captures any such straggler
-// deterministically; an edge re-present at sweep time (a surviving
+// tail regrown by a concurrent repair can sample a deleted edge just before
+// it leaves the graph and index the step just after the deleting worker's
+// scans, stranding a stored forward or backward step through a missing edge.
+// Such a straggler needs another worker's write during the batch, and every
+// step a worker writes is either sampled from the live graph — through the
+// worker's Recorder, so its edge is a suspect — or a repair's first step out
+// of an endpoint whose stripe it holds, which every deletion of that edge
+// holds too and so sees. For each suspect still absent, re-running both
+// sided repairs with pre-removal multiplicity 1 captures its stragglers
+// deterministically; a suspect re-present at sweep time (a surviving
 // multi-edge copy, or re-added by an interleaved arrival) is skipped — its
 // stored steps are legal. The graph is quiescent under m.mu, so fresh tails
 // cannot strand new steps, and the missing-edge-step invariant holds
 // whenever a batch call returns. No observer fires: the sweep touches only
 // the store, which the serving tier already tracks through its per-stripe
 // epochs.
-func (m *Maintainer) sweepStragglers(dels []graph.Edge) {
-	if len(dels) == 0 {
+func (m *Maintainer) sweepStragglers(suspects []graph.Edge) {
+	if len(suspects) == 0 {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	seen := make(map[graph.Edge]struct{}, len(dels))
-	for _, ed := range dels {
-		if _, dup := seen[ed]; dup {
-			continue
-		}
-		seen[ed] = struct{}{}
+	m.cnt.suspects.Add(int64(len(suspects)))
+	for _, ed := range suspects {
 		u, v := ed.From, ed.To
 		li, lj := m.endMu.LockPair(2*uint64(u), 2*uint64(v)+1)
 		if m.soc.CountEdges(u, v) == 0 {
+			m.cnt.swept.Add(1)
 			m.serial.touched.reset()
 			m.unrouteForward(u, v, 1, m.soc.OutDegree(u), m.serial)
 			m.unrouteBackward(v, u, 1, m.soc.InDegree(v), m.serial)
@@ -160,23 +175,22 @@ func (m *Maintainer) sweepStragglers(dels []graph.Edge) {
 }
 
 // applyOneDel removes one copy of (u, v) and runs both unroute phases under
-// the same endpoint stripe pair the arrival path holds, so the degree and
-// multiplicity reads stay exact against concurrent mutations sharing an
-// endpoint.
+// the same endpoint stripe pair the arrival path holds, so no other write
+// sharing an endpoint lands between the removal and its repair.
 func (m *Maintainer) applyOneDel(ed graph.Edge, w *updater) {
 	m.cnt.deletions.Add(1)
 	u, v := ed.From, ed.To
 	li, lj := m.endMu.LockPair(2*uint64(u), 2*uint64(v)+1)
-	if !m.soc.RemoveEdge(u, v) {
+	dout, din, left, ok := m.soc.RemoveEdge(u, v)
+	if !ok {
 		m.endMu.UnlockPair(li, lj)
 		m.cnt.delMisses.Add(1)
 		return
 	}
 	// The edge is removed before the repair so fresh tails sample the new
-	// graph; the pre-removal multiplicity is the surviving count plus one.
-	c := m.soc.CountEdges(u, v) + 1
-	dout := m.soc.OutDegree(u)
-	din := m.soc.InDegree(v)
+	// graph. The write's reply carries both surviving degrees and the copies
+	// left; the pre-removal multiplicity is those plus the removed one.
+	c := left + 1
 	w.touched.reset()
 	// Forward phase: stored forward steps u -> v lost one of their c slots.
 	m.unrouteForward(u, v, c, dout, w)
@@ -384,8 +398,8 @@ func (m *Maintainer) resampleForward(id walkstore.SegmentID, keep int, u graph.N
 			m.redirect(id, keep, to, walk.Backward, w)
 			return true
 		}
-		// Unreachable under the endpoint stripes (d was read under the same
-		// locks); fall through to truncation for safety.
+		// Unreachable under the endpoint stripes (d is the reply of a write
+		// made under the same locks); fall through to truncation for safety.
 	}
 	m.truncate(id, keep, w)
 	return false

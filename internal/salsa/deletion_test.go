@@ -259,6 +259,57 @@ func TestDegenerateDeletions(t *testing.T) {
 	}
 }
 
+// distinctDeletions counts the distinct edges a batch deletes.
+func distinctDeletions(events []graph.Event) int64 {
+	seen := map[graph.Edge]bool{}
+	for _, ev := range events {
+		if ev.Del {
+			seen[ev.Edge] = true
+		}
+	}
+	return int64(len(seen))
+}
+
+// TestParallelSweepRevisitsOnlySuspects is the sided version of pagerank's:
+// parallel churn batches with four update workers on small dense graphs over
+// twenty seeds, where a forward or backward step of one worker's regrown tail
+// most often crosses an edge another worker is deleting. After every batch
+// no stored step may cross a missing edge, and the straggler sweep may have
+// re-repaired only suspects.
+func TestParallelSweepRevisitsOnlySuspects(t *testing.T) {
+	rounds, batch := 5, 100
+	if testing.Short() {
+		rounds, batch = 3, 60
+	}
+	var suspects, swept int64
+	for seed := uint64(1); seed <= 20; seed++ {
+		const n = 12
+		mt, _ := newMaintainer(nodeGraph(n), Config{Eps: 0.2, R: 6, Workers: 1, Seed: seed, UpdateWorkers: 4})
+		mt.Bootstrap()
+		rng := rand.New(rand.NewPCG(seed, 81))
+		for round := 0; round < rounds; round++ {
+			events := gen.PowerLawChurnStream(n, batch, 0.6, 0.45, rng)
+			before := mt.Counters()
+			mt.ApplyEvents(events)
+			validateAll(t, mt)
+			after := mt.Counters()
+			s, w := after.Suspects-before.Suspects, after.Swept-before.Swept
+			if w > s || s > distinctDeletions(events) {
+				t.Fatalf("seed %d round %d: swept %d of %d suspects, %d distinct deletions", seed, round, w, s, distinctDeletions(events))
+			}
+			suspects += s
+			swept += w
+		}
+		if c := mt.Counters(); c.SlowNoops != 0 {
+			t.Fatalf("seed %d: SlowNoops=%d, want 0", seed, c.SlowNoops)
+		}
+	}
+	if suspects == 0 {
+		t.Fatal("no regrown tail ever stepped on a deleted edge: the sweep went unexercised")
+	}
+	t.Logf("%d suspects, %d swept", suspects, swept)
+}
+
 // TestChurnFuzz is the sided shrink-grow fuzz harness: random interleaved
 // add/delete batches with per-batch recounts and the missing-edge-step
 // invariant, serialized and with the parallel worker pool.

@@ -52,8 +52,9 @@
 // Updates run serialized by default or concurrently with
 // Config.UpdateWorkers > 1: an arrival locks its (source, target) endpoint
 // stripe pair in index order — out-degree moves only on arrivals from the
-// source and in-degree only on arrivals to the target, so both degree reads
-// stay exact — and each repair phase freezes its segments under SegmentID
+// source and in-degree only on arrivals to the target, so both degrees in
+// the write's reply still hold when the phases run — and each repair phase
+// freezes its segments under SegmentID
 // stripe locks (re-reading the index under the freeze so every hit is
 // exact), retrying against the frozen enumeration when cross-stripe
 // interference moved a counter. Per-seed reproducibility relaxes to
@@ -68,9 +69,14 @@
 // of v (backward), and truncates when none survive — the asymmetric
 // revival law in reverse. The backward phase runs second and excludes the
 // positions the forward phase just regenerated; both hold the same
-// endpoint stripe pair as arrivals, so the multiplicity and degree reads
-// stay exact under parallel churn, and the arrival observer fires after a
-// deletion's effects exactly as after an arrival's.
+// endpoint stripe pair as arrivals, so the multiplicity and degrees in the
+// removal's reply stay exact under parallel churn, and the arrival observer
+// fires after a deletion's effects exactly as after an arrival's. An update
+// reads no degree from the Social Store: arrivals and deletions alike take
+// both endpoints' degrees (and a deletion the copies left) from their one
+// write's reply (docs/DESIGN.md#1-data-flow). After a parallel deletion
+// batch the straggler sweep revisits only the deleted edges the workers'
+// walk.Recorders saw a forward or backward step cross.
 //
 // # Personalized queries
 //

@@ -107,6 +107,10 @@ type Counters struct {
 	DelMisses    int64 // deletions of edges not present in the graph
 	DelRerouted  int64 // segments re-sampled through a surviving edge (either side)
 	DelTruncated int64 // segments cut short by a reverse revival (either side)
+
+	// Straggler-sweep accounting, parallel deletion batches only.
+	Suspects int64 // distinct deleted edges a regrown tail stepped on (either side) during the batch
+	Swept    int64 // suspects still absent after the barrier, re-repaired with c = 1
 }
 
 // SkipRate returns the fraction of repair phases the fast path skipped
@@ -125,6 +129,7 @@ type counters struct {
 	rerouted, revived, seeded, stepsIn, stepsOut          atomic.Int64
 	queries                                               atomic.Int64
 	deletions, delMisses, delRerouted, delTruncated       atomic.Int64
+	suspects, swept                                       atomic.Int64
 }
 
 func (c *counters) snapshot() Counters {
@@ -144,14 +149,20 @@ func (c *counters) snapshot() Counters {
 		DelMisses:    c.delMisses.Load(),
 		DelRerouted:  c.delRerouted.Load(),
 		DelTruncated: c.delTruncated.Load(),
+		Suspects:     c.suspects.Load(),
+		Swept:        c.swept.Load(),
 	}
 }
 
 const (
-	// endpointStripes serializes arrivals by endpoint: out-degree moves only
-	// on arrivals from a source, in-degree only on arrivals to a target, so
-	// locking the (source, target) stripe pair makes both degree reads and
-	// both repair phases atomic per endpoint.
+	// endpointStripes serializes writes by endpoint: out-degree moves only
+	// on writes from a source, in-degree only on writes to a target, so
+	// locking the (source, target) stripe pair makes the write and both
+	// repair phases atomic per endpoint — the phases' degrees are the
+	// write's own reply. A repair's first step out of either endpoint is
+	// therefore ordered with every deletion of that step's edge, which holds
+	// the same endpoint's stripe; that is why it need not be watched by the
+	// straggler sweep.
 	endpointStripes = 256
 	// segmentStripes freezes the segments a repair phase scans.
 	segmentStripes = 512
@@ -162,7 +173,11 @@ const (
 // regenerated; the backward phase must not flip coins on freshly sampled
 // steps).
 type updater struct {
-	rng     *rand.Rand
+	rng *rand.Rand
+	// nb samples regrown tails and seeded walks: the social store, or during
+	// a parallel deletion batch a walk.Recorder over it that notes every step
+	// on one of the batch's deleted edges for the straggler sweep.
+	nb      walk.Neighborer
 	tail    []graph.NodeID
 	keys    []uint64
 	idx     []int
@@ -179,7 +194,7 @@ type updater struct {
 	tms     []walkstore.TailMutation
 }
 
-func newUpdater(rng *rand.Rand) *updater { return &updater{rng: rng} }
+func newUpdater(rng *rand.Rand, nb walk.Neighborer) *updater { return &updater{rng: rng, nb: nb} }
 
 // pendingMut is one deferred ReplaceTail: the repair phase samples the fresh
 // tail inline (preserving the exact RNG consumption order) into w.tailBuf and
@@ -295,7 +310,7 @@ func NewWithStore(soc *socialstore.Store, cfg Config, walks *walkstore.Store) *M
 		soc:       soc,
 		walks:     walks,
 		cfg:       cfg,
-		serial:    newUpdater(rand.New(pcg)),
+		serial:    newUpdater(rand.New(pcg), soc),
 		serialPCG: pcg,
 		known:     make(map[graph.NodeID]bool),
 		endMu:     stripes.NewMutexSet(endpointStripes),
@@ -448,7 +463,7 @@ func (m *Maintainer) applyParallel(edges []graph.Edge, workers int) {
 		wg.Add(1)
 		go func(wk int) {
 			defer wg.Done()
-			w := newUpdater(rand.New(rand.NewPCG(m.cfg.Seed, 0x5a15a0000+uint64(wk))))
+			w := newUpdater(rand.New(rand.NewPCG(m.cfg.Seed, 0x5a15a0000+uint64(wk))), m.soc)
 			for {
 				i := int(cursor.Add(1)) - 1
 				if i >= len(edges) {
@@ -465,16 +480,15 @@ func (m *Maintainer) applyOne(ed graph.Edge, w *updater) {
 	m.cnt.arrivals.Add(1)
 	u, v := ed.From, ed.To
 	// One arrival holds its source and target endpoint stripes for both
-	// repair phases: out-degree moves only on arrivals from u and in-degree
-	// only on arrivals to v, so both degree reads stay exact, and the
-	// forward-then-backward phase pair of one arrival never interleaves with
-	// another arrival sharing an endpoint stripe. Source-role and
-	// target-role keys are kept in disjoint key spaces (2u vs 2v+1) so an
-	// arrival from a node does not falsely serialize with one into it.
+	// repair phases: out-degree moves only on writes from u and in-degree
+	// only on writes to v, so both degrees in the write's reply still hold
+	// when the phases run, and the forward-then-backward phase pair of one
+	// arrival never interleaves with another write sharing an endpoint
+	// stripe. Source-role and target-role keys are kept in disjoint key
+	// spaces (2u vs 2v+1) so an arrival from a node does not falsely
+	// serialize with one into it.
 	li, lj := m.endMu.LockPair(2*uint64(u), 2*uint64(v)+1)
-	m.soc.AddEdge(u, v)
-	dout := m.soc.OutDegree(u)
-	din := m.soc.InDegree(v)
+	dout, din := m.soc.AddEdge(u, v)
 	w.touched.reset()
 	// Forward phase: stored forward steps from u now have a d-th choice.
 	if dout == 1 {
@@ -977,7 +991,7 @@ func (m *Maintainer) reviveBackward(v, u graph.NodeID, w *updater) {
 func (m *Maintainer) redirect(id walkstore.SegmentID, keep int, to graph.NodeID, nextDir walk.Direction, w *updater) {
 	if m.cfg.UnbatchedWrites {
 		w.tail = append(w.tail[:0], to)
-		w.tail = walk.AppendContinueSalsa(m.soc, to, nextDir, m.cfg.Eps, w.rng, w.tail)
+		w.tail = walk.AppendContinueSalsa(w.nb, to, nextDir, m.cfg.Eps, w.rng, w.tail)
 		removed, added := m.walks.ReplaceTail(id, keep, w.tail)
 		m.cnt.stepsOut.Add(int64(removed))
 		m.cnt.stepsIn.Add(int64(added))
@@ -985,7 +999,7 @@ func (m *Maintainer) redirect(id walkstore.SegmentID, keep int, to graph.NodeID,
 	}
 	start := len(w.tailBuf)
 	w.tailBuf = append(w.tailBuf, to)
-	w.tailBuf = walk.AppendContinueSalsa(m.soc, to, nextDir, m.cfg.Eps, w.rng, w.tailBuf)
+	w.tailBuf = walk.AppendContinueSalsa(w.nb, to, nextDir, m.cfg.Eps, w.rng, w.tailBuf)
 	w.muts = append(w.muts, pendingMut{id: id, keep: keep, start: start, end: len(w.tailBuf)})
 }
 
@@ -1067,9 +1081,9 @@ func (m *Maintainer) ensureNode(v graph.NodeID, w *updater) {
 	pathsF := make([][]graph.NodeID, m.cfg.R)
 	pathsB := make([][]graph.NodeID, m.cfg.R)
 	for i := 0; i < m.cfg.R; i++ {
-		segF := walk.Salsa(m.soc, v, walk.Forward, m.cfg.Eps, w.rng)
+		segF := walk.Salsa(w.nb, v, walk.Forward, m.cfg.Eps, w.rng)
 		pathsF[i] = segF.Path
-		segB := walk.Salsa(m.soc, v, walk.Backward, m.cfg.Eps, w.rng)
+		segB := walk.Salsa(w.nb, v, walk.Backward, m.cfg.Eps, w.rng)
 		pathsB[i] = segB.Path
 		m.cnt.stepsIn.Add(int64(len(segF.Path) + len(segB.Path)))
 	}

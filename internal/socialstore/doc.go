@@ -16,6 +16,14 @@
 // every call accrues simulated network latency so experiments can report
 // wall-clock-like costs without sleeping.
 //
+// A write is one round trip and answers with what its caller reads next:
+// AddEdge and RemoveEdge pass the graph's reply through (the endpoints'
+// degrees after the write and, for a removal, the copies left), so an
+// update's store calls are its one write plus one read per step of the
+// walk tails it regrows (docs/DESIGN.md#1-data-flow). The degree and
+// multiplicity reads remain for the straggler sweep, personalized queries
+// and tests.
+//
 // The in-memory sharded implementation preserves the behaviour that matters
 // to the paper: uniform random access to adjacency lists and an exact count
 // of round trips. Nothing in the analysis depends on the store actually

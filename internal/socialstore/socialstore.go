@@ -77,17 +77,22 @@ func (s *Store) countRead(v graph.NodeID) {
 	}
 }
 
-// AddEdge writes the edge u -> v.
-func (s *Store) AddEdge(u, v graph.NodeID) {
+// AddEdge writes the edge u -> v: one write, no read. The reply is the
+// graph's (graph.Graph.AddEdge): u's out-degree and v's in-degree after the
+// write, which is everything an arrival's repair would otherwise read back.
+func (s *Store) AddEdge(u, v graph.NodeID) (out, in int) {
 	s.writes.Add(1)
 	if s.perCall > 0 {
 		s.latency.Add(int64(s.perCall))
 	}
-	s.g.AddEdge(u, v)
+	return s.g.AddEdge(u, v)
 }
 
-// RemoveEdge deletes one occurrence of u -> v, reporting whether it existed.
-func (s *Store) RemoveEdge(u, v graph.NodeID) bool {
+// RemoveEdge deletes one occurrence of u -> v, reporting whether it existed:
+// one write, no read, hit or miss. On a hit the reply also carries u's
+// out-degree, v's in-degree and the copies of u -> v left after the write
+// (graph.Graph.RemoveEdge) — a deletion's repair needs nothing else.
+func (s *Store) RemoveEdge(u, v graph.NodeID) (out, in, left int, ok bool) {
 	s.writes.Add(1)
 	if s.perCall > 0 {
 		s.latency.Add(int64(s.perCall))
@@ -96,8 +101,8 @@ func (s *Store) RemoveEdge(u, v graph.NodeID) bool {
 }
 
 // CountEdges reads the multiplicity of u -> v (one store call, charged to
-// u's shard). The deletion repair rule reads it right after RemoveEdge to
-// recover the pre-removal copy count.
+// u's shard). The straggler sweep after a parallel deletion batch reads it
+// to tell a still-absent edge from a re-added one.
 func (s *Store) CountEdges(u, v graph.NodeID) int {
 	s.countRead(u)
 	return s.g.CountEdges(u, v)
@@ -121,10 +126,10 @@ func (s *Store) OutDegree(v graph.NodeID) int {
 	return s.g.OutDegree(v)
 }
 
-// InDegree reads v's in-degree (one store call). The SALSA maintainer needs
-// it on every arrival: the backward half of the bipartite reroute rule is
-// driven by the target's in-degree the way the forward half is driven by the
-// source's out-degree.
+// InDegree reads v's in-degree (one store call). The backward half of SALSA's
+// bipartite reroute rule is driven by the target's in-degree the way the
+// forward half is driven by the source's out-degree; an arrival or deletion
+// takes it from its write's reply, and the straggler sweep reads it here.
 func (s *Store) InDegree(v graph.NodeID) int {
 	s.countRead(v)
 	return s.g.InDegree(v)

@@ -19,10 +19,10 @@ func TestCallAccountingExactCounts(t *testing.T) {
 	s.AddEdge(1, 2)
 	s.AddEdge(1, 3)
 	s.AddEdge(2, 3)
-	if !s.RemoveEdge(2, 3) {
+	if _, _, _, ok := s.RemoveEdge(2, 3); !ok {
 		t.Fatal("RemoveEdge of existing edge reported false")
 	}
-	if s.RemoveEdge(9, 9) {
+	if _, _, _, ok := s.RemoveEdge(9, 9); ok {
 		t.Fatal("RemoveEdge of absent edge reported true")
 	}
 
@@ -137,7 +137,7 @@ func TestSimulatedLatencyAccrual(t *testing.T) {
 	s.OutDegree(1)    // 1 read
 	s.OutNeighbors(1) // 1 read
 	s.CountFetch()    // 1 fetch
-	if !s.RemoveEdge(1, 2) {
+	if _, _, _, ok := s.RemoveEdge(1, 2); !ok {
 		t.Fatal("RemoveEdge failed")
 	} // 1 write
 	want := 5 * perCall
@@ -225,8 +225,44 @@ func TestSnapshotDeltas(t *testing.T) {
 	}
 }
 
+// TestWriteReplyReplacesReads pins what a write costs and returns: one write
+// and no read, hit or miss, and a reply equal to the reads it replaces —
+// OutDegree(u) and InDegree(v) after an AddEdge; those plus CountEdges(u, v)
+// after a RemoveEdge.
+func TestWriteReplyReplacesReads(t *testing.T) {
+	s := New(graph.New(0))
+	rng := rand.New(rand.NewPCG(13, 0))
+	for i := 0; i < 400; i++ {
+		u, v := graph.NodeID(rng.IntN(12)), graph.NodeID(rng.IntN(12))
+		pre := s.Snapshot()
+		if rng.IntN(3) == 0 {
+			out, in, left, ok := s.RemoveEdge(u, v)
+			if d := s.Snapshot().Sub(pre); d.Writes != 1 || d.Reads != 0 {
+				t.Fatalf("RemoveEdge(%d, %d) cost %+v, want one write and no read", u, v, d)
+			}
+			if !ok {
+				if out != 0 || in != 0 || left != 0 {
+					t.Fatalf("RemoveEdge(%d, %d) missed but replied (%d, %d, %d)", u, v, out, in, left)
+				}
+				continue
+			}
+			if wo, wi, wl := s.OutDegree(u), s.InDegree(v), s.CountEdges(u, v); out != wo || in != wi || left != wl {
+				t.Fatalf("RemoveEdge(%d, %d) replied (%d, %d, %d), reads say (%d, %d, %d)", u, v, out, in, left, wo, wi, wl)
+			}
+			continue
+		}
+		out, in := s.AddEdge(u, v)
+		if d := s.Snapshot().Sub(pre); d.Writes != 1 || d.Reads != 0 {
+			t.Fatalf("AddEdge(%d, %d) cost %+v, want one write and no read", u, v, d)
+		}
+		if wo, wi := s.OutDegree(u), s.InDegree(v); out != wo || in != wi {
+			t.Fatalf("AddEdge(%d, %d) replied (%d, %d), reads say (%d, %d)", u, v, out, in, wo, wi)
+		}
+	}
+}
+
 // TestInDegreeReadThrough checks the in-degree read the SALSA maintainer's
-// backward phase relies on.
+// straggler sweep relies on.
 func TestInDegreeReadThrough(t *testing.T) {
 	g := graph.New(0)
 	g.AddEdge(1, 3)

@@ -27,4 +27,13 @@
 // (Section 4-5) splices stored segments onto live walks with it — the
 // zero-round-trip stitch of
 // docs/DESIGN.md#4-the-theorem-8-accounting-model.
+//
+// Recorder wraps any Neighborer and notes each sampled step that lands on a
+// watched edge set — an out-sample x -> y as (x, y), an in-sample as the
+// edge (y, x) it traversed — without moving a single RNG draw. During a
+// parallel deletion batch every worker samples through one, watching the
+// batch's deleted edges, so the straggler sweep after the barrier revisits
+// only the edges some regrown tail stepped on
+// (docs/DESIGN.md#10-deletions--windows). With nothing watched it records
+// nothing and allocates nothing.
 package walk
