@@ -122,11 +122,7 @@ type maintainerResult struct {
 // calls per query next to the Theorem 8 accounting ceiling those calls are
 // measured against.
 type salsaResult struct {
-	UpdateWorkers int `json:"update_workers"`
-	// LegacyScan marks the comparison replay that enumerates repair
-	// candidates by walking every visitor's full path (the pre-index scan)
-	// instead of the pending-position index.
-	LegacyScan       bool    `json:"legacy_scan,omitempty"`
+	UpdateWorkers    int     `json:"update_workers"`
 	BootstrapSeconds float64 `json:"bootstrap_seconds"`
 	StormSeconds     float64 `json:"storm_seconds"`
 	Edges            int     `json:"edges"`
@@ -308,15 +304,10 @@ type report struct {
 	// SpeedupMaintainerStorm is max-worker storm throughput over the
 	// 1-worker (serialized) run.
 	SpeedupMaintainerStorm float64 `json:"speedup_maintainer_storm,omitempty"`
-	// SalsaStorms holds one entry per -updateworkers count plus one
-	// legacy-scan comparison replay at the serialized worker count (absent
-	// with -salsa=false).
+	// SalsaStorms holds one entry per -updateworkers count (absent with
+	// -salsa=false).
 	SalsaStorms       []salsaResult `json:"salsa_storms,omitempty"`
 	SpeedupSalsaStorm float64       `json:"speedup_salsa_storm,omitempty"`
-	// SpeedupIndexVsScan is serialized indexed-storm throughput over the
-	// legacy full-path-scan replay of the same arrivals — the pending-position
-	// index's headline win.
-	SpeedupIndexVsScan float64 `json:"speedup_index_vs_scan,omitempty"`
 	// ConcurrentQueries is the queries-racing-arrivals profile (absent with
 	// -salsa=false or -queries 0).
 	ConcurrentQueries *concurrentQueryResult `json:"concurrent_queries,omitempty"`
@@ -555,7 +546,7 @@ func main() {
 			if i == len(ucounts)-1 {
 				profile = *queries // query profile once, on the final store
 			}
-			res := benchSalsa(base, storm, *r, *eps, *seed, profile, *qwalks, uw, false, *compactN)
+			res := benchSalsa(base, storm, *r, *eps, *seed, profile, *qwalks, uw, *compactN)
 			rep.SalsaStorms = append(rep.SalsaStorms, res)
 			fmt.Printf("salsa storm uw=%-2d      %7.3fs (%.0f edges/s)   skip %.1f%% (%d rerouted, %d revived, %d noop)\n",
 				uw, res.StormSeconds, res.EdgesPerSec, 100*res.SkipRate, res.Rerouted, res.Revived, res.SlowNoops)
@@ -569,17 +560,6 @@ func main() {
 			rep.SpeedupSalsaStorm = s[len(s)-1].EdgesPerSec / s[0].EdgesPerSec
 			fmt.Printf("salsa storm speedup %dw vs %dw: %.2fx\n",
 				s[len(s)-1].UpdateWorkers, s[0].UpdateWorkers, rep.SpeedupSalsaStorm)
-		}
-		// Indexed-vs-scan comparison: the same serialized storm with the
-		// pending-position index bypassed (full-path candidate enumeration).
-		legacy := benchSalsa(base, storm, *r, *eps, *seed, 0, *qwalks, ucounts[0], true, *compactN)
-		legacy.LegacyScan = true
-		rep.SalsaStorms = append(rep.SalsaStorms, legacy)
-		fmt.Printf("salsa storm uw=%-2d scan %7.3fs (%.0f edges/s)   [legacy full-path scan]\n",
-			legacy.UpdateWorkers, legacy.StormSeconds, legacy.EdgesPerSec)
-		if legacy.EdgesPerSec > 0 {
-			rep.SpeedupIndexVsScan = rep.SalsaStorms[0].EdgesPerSec / legacy.EdgesPerSec
-			fmt.Printf("salsa index vs full scan (uw=%d): %.2fx\n", ucounts[0], rep.SpeedupIndexVsScan)
 		}
 		if *queries > 0 {
 			cq := benchConcurrentQueries(base, storm, *r, *eps, *seed, *queries, *qwalks, ucounts[len(ucounts)-1])
@@ -832,12 +812,6 @@ func verifyReport(path string) error {
 				path, s.UpdateWorkers, s.MaxStoreCalls, s.Theorem8Bound)
 		}
 	}
-	// The index's headline win is a regression guard: a report that records
-	// the indexed-vs-scan comparison at all must show the index ahead.
-	if rep.SpeedupIndexVsScan > 0 && rep.SpeedupIndexVsScan < 1 {
-		return fmt.Errorf("%s: pending-position index is SLOWER than the legacy full-path scan (%.2fx, want >= 1x)",
-			path, rep.SpeedupIndexVsScan)
-	}
 	for _, a := range rep.AdversarialStorms {
 		if a.EdgesPerSec <= 0 {
 			return fmt.Errorf("%s: adversarial storm %q has non-positive throughput", path, a.Workload)
@@ -1020,9 +994,9 @@ func arenaColumns(s *walkstore.Store) (live, total int64, garbage float64) {
 // clone, then (when queries > 0) profiles personalized queries from random
 // sources: wall-clock latency and the measured Social Store calls per query
 // against the Theorem 8 accounting ceiling.
-func benchSalsa(base *graph.Graph, storm []graph.Edge, r int, eps float64, seed uint64, queries, qwalks, uw int, legacyScan bool, compactEvery int) salsaResult {
+func benchSalsa(base *graph.Graph, storm []graph.Edge, r int, eps float64, seed uint64, queries, qwalks, uw, compactEvery int) salsaResult {
 	soc := socialstore.New(base.Clone())
-	mt := salsa.New(soc, salsa.Config{Eps: eps, R: r, Seed: seed, QueryWalks: qwalks, UpdateWorkers: uw, LegacyScan: legacyScan, CompactEvery: compactEvery})
+	mt := salsa.New(soc, salsa.Config{Eps: eps, R: r, Seed: seed, QueryWalks: qwalks, UpdateWorkers: uw, CompactEvery: compactEvery})
 	t0 := time.Now()
 	mt.Bootstrap()
 	boot := time.Since(t0)

@@ -11,9 +11,10 @@ import (
 )
 
 // This file pins the batching-era guarantees for the PageRank maintainer:
-// phase-batched index writes and epoch-keyed arena compaction must both be
-// bitwise invisible to a fixed-seed serialized run, and compaction must
-// survive estimate reads racing a parallel storm under -race.
+// epoch-keyed arena compaction must be bitwise invisible to a fixed-seed
+// serialized run (phase-batched writes are checked against the unbatched
+// reference in ref_test.go), and compaction must survive estimate reads
+// racing a parallel storm under -race.
 
 // churnRun drives a fixed-seed serialized churn storm through a fresh
 // maintainer with the given config knobs and returns the final estimates and
@@ -53,20 +54,6 @@ func requireRunsEqual(t *testing.T, label string, a, b map[graph.NodeID]float64,
 			t.Fatalf("%s: estimate[%d]=%v vs %v", label, v, a[v], x)
 		}
 	}
-}
-
-// TestBatchedWritesMatchUnbatched proves the deferred write path is bitwise
-// invisible: a fixed-seed serialized churn storm must produce identical
-// estimates and counters whether every redirect/truncation is an immediate
-// ReplaceTail (UnbatchedWrites) or coalesced into one ReplaceTailBatch per
-// repair phase. The legacy full-path scan closes the triangle.
-func TestBatchedWritesMatchUnbatched(t *testing.T) {
-	estB, cntB := churnRun(t, Config{})
-	estU, cntU := churnRun(t, Config{UnbatchedWrites: true})
-	requireRunsEqual(t, "batched vs unbatched", estB, estU, cntB, cntU)
-
-	estL, cntL := churnRun(t, Config{LegacyScan: true})
-	requireRunsEqual(t, "batched vs legacy scan", estB, estL, cntB, cntL)
 }
 
 // TestCompactEveryBitwise pins compaction's no-logical-state contract at the

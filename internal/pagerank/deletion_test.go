@@ -67,47 +67,6 @@ func TestConvergesToOracleOnShrinkGrowStream(t *testing.T) {
 	}
 }
 
-// TestDeletionLegacyScanBitwise extends the bitwise legacy/indexed pin to the
-// deletion path: a fixed-seed serialized churn storm must produce identical
-// estimates and counters with the pending-position index on and off, because
-// both unroute flavors enumerate the same (segment, position) candidates and
-// draw the same coin stream.
-func TestDeletionLegacyScanBitwise(t *testing.T) {
-	n, m := 120, 900
-	if testing.Short() {
-		n, m = 70, 400
-	}
-	run := func(legacy bool) (map[graph.NodeID]float64, Counters) {
-		mt, _ := newMaintainer(n, Config{Eps: 0.2, R: 5, Workers: 1, Seed: 41, LegacyScan: legacy})
-		mt.Bootstrap()
-		rng := rand.New(rand.NewPCG(42, 0))
-		events := gen.PowerLawChurnStream(n, m, 0.8, 0.35, rng)
-		mt.ApplyEvents(events)
-		validateAll(t, mt)
-		return mt.ApproxAll(), mt.Counters()
-	}
-
-	gotIdx, cntIdx := run(false)
-	gotLeg, cntLeg := run(true)
-	if cntIdx != cntLeg {
-		t.Fatalf("counters diverged:\nindexed %+v\nlegacy  %+v", cntIdx, cntLeg)
-	}
-	if cntIdx.Deletions == 0 {
-		t.Fatal("churn stream produced no deletions")
-	}
-	if cntIdx.SlowNoops != 0 {
-		t.Fatalf("SlowNoops=%d, want 0", cntIdx.SlowNoops)
-	}
-	if len(gotIdx) != len(gotLeg) {
-		t.Fatalf("estimate vectors differ in size: %d vs %d", len(gotIdx), len(gotLeg))
-	}
-	for v, x := range gotLeg {
-		if gotIdx[v] != x {
-			t.Fatalf("estimate[%d]=%v indexed, %v legacy", v, gotIdx[v], x)
-		}
-	}
-}
-
 // TestDegenerateDeletions sweeps the deletion edge cases: the reverse revival
 // (last out-edge gone), edges never walked, deletion before any walks exist,
 // and delete-then-re-add. Nothing may panic or produce NaN, and the store

@@ -18,17 +18,17 @@
 // K = X_u - T(u) (walkstore.Candidates). On heads, the reroute positions
 // are sampled *conditioned on at least one reroute* (truncated-geometric
 // first success, independent flips after), so estimates with the fast path
-// enabled are drawn from exactly the same distribution as with it disabled,
-// and every non-skipped arrival performs real work — the argument is
+// are drawn from exactly the same distribution as under naive per-step
+// coins, and every non-skipped arrival performs real work — the argument is
 // docs/DESIGN.md#3-the-lossless-wv-fast-path.
 //
 // On heads, the repair scan enumerates its candidates from the walk
 // store's pending-position index — the exact (segment, position) pairs of
-// stored visits at the source, in the same ascending order the pre-index
-// full-path scan produced — so a slow path costs O(hits) rather than
-// O(visitors × path length); Config.LegacyScan keeps the old enumeration
-// alive for the bitwise-equivalence test and benchmarks
-// (docs/DESIGN.md#7-the-pending-position-index).
+// stored visits at the source, in ascending order — so a slow path costs
+// O(hits) rather than O(visitors × path length)
+// (docs/DESIGN.md#7-the-pending-position-index). The tests hold every
+// phase bitwise to a reference that scans full paths and applies each
+// mutation at once (ref_test.go).
 //
 // Updates run serialized by default (bitwise reproducible per seed) or
 // concurrently with Config.UpdateWorkers > 1: arrivals are serialized per
@@ -50,9 +50,9 @@
 // out-edge with no reset coin, and regrows the tail on the post-removal
 // graph — or truncates when the last out-edge vanished, the revival law
 // run in reverse. Deletions carry no skip coin, enumerate their candidates
-// O(hits) from the pending-position index (LegacyScan keeps the full-path
-// flavor bitwise coin-identical), and leave the arrival-path invariants
-// (SlowNoops == 0) untouched — see docs/DESIGN.md#10-deletions--windows.
+// O(hits) from the pending-position index, and leave the arrival-path
+// invariants (SlowNoops == 0) untouched — see
+// docs/DESIGN.md#10-deletions--windows.
 //
 // All graph access on the update path — the edge write and every step of
 // regenerated walk tails — is routed through socialstore.Store, so the call
@@ -68,9 +68,8 @@
 // reroute and revival tails are sampled inline — preserving the bitwise
 // coin sequence — and their mutations flushed through one
 // walkstore.ReplaceTailBatch per repair phase, with the parallel path
-// pre-grouping arrivals by source stripe. Config.UnbatchedWrites keeps the
-// per-call path as the equivalence oracle; Config.CompactEvery checks the
+// pre-grouping arrivals by source stripe. Config.CompactEvery checks the
 // arena between batches and compacts when at least a quarter of it is
-// garbage (walkstore.Store.MaybeCompact). Both knobs are proven bitwise
-// invisible by the fixed-seed batch tests.
+// garbage (walkstore.Store.MaybeCompact), proven bitwise invisible by the
+// fixed-seed batch tests.
 package pagerank

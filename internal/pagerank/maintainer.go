@@ -3,7 +3,6 @@ package pagerank
 import (
 	"math"
 	"math/rand/v2"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -36,20 +35,6 @@ type Config struct {
 	// Seed seeds both the bootstrap walk generation and the update RNG, so a
 	// fixed-seed serialized run is fully reproducible.
 	Seed uint64
-	// DisableFastPath turns the skip coin off: every arrival fetches the
-	// affected segments and flips per-step coins unconditionally. Estimates
-	// are drawn from the same distribution either way; the flag exists so
-	// tests and benchmarks can demonstrate that.
-	DisableFastPath bool
-	// LegacyScan makes repair phases enumerate candidates the pre-index way:
-	// fetch every visitor of the arrival's source and walk its full path.
-	// The default consumes the store's pending-position index instead —
-	// O(hits) per phase rather than O(visitors × path length). Both paths
-	// enumerate candidates in the identical (segment, position) order and
-	// consume the RNG identically, so a fixed-seed serialized run is bitwise
-	// the same either way; the flag exists for benchmarks and the
-	// equivalence test, not for production use.
-	LegacyScan bool
 	// CompactEvery, when positive, checks the arena every CompactEvery-th
 	// completed mutation (arrival or deletion) and runs Store.Compact when
 	// at least a quarter of it is garbage (Store.MaybeCompact), without
@@ -57,13 +42,6 @@ type Config struct {
 	// logical state, so fixed-seed runs are bitwise identical with it on
 	// or off. See docs/DESIGN.md#11-batching--compaction.
 	CompactEvery int
-	// UnbatchedWrites routes every repair tail write through an immediate
-	// per-segment ReplaceTail instead of the phase-batched ReplaceTailBatch
-	// flush. The batched path samples each fresh tail inline (consuming the
-	// RNG exactly where the unbatched path would) and only coalesces the
-	// store writes, so fixed-seed serialized runs are bitwise identical
-	// either way; the flag exists for benchmarks and the equivalence tests.
-	UnbatchedWrites bool
 }
 
 // Counters is a snapshot of the maintainer's update-path accounting.
@@ -72,13 +50,18 @@ type Counters struct {
 	FastSkips  int64 // arrivals dismissed by the skip coin alone
 	EmptySkips int64 // arrivals whose source had no stored walk to perturb
 	SlowPaths  int64 // arrivals that fetched segments from the store
-	SlowNoops  int64 // slow paths that sampled no reroute (0 while the fast path is on)
+	SlowNoops  int64 // slow paths that sampled no reroute: always 0, see below
 	Rerouted   int64 // segments redirected through a new edge mid-path
 	Revived    int64 // segments extended past a formerly dangling terminal
 	Seeded     int64 // segments generated for nodes first seen mid-stream
 	StepsIn    int64 // visits added by reroutes, revivals, and seeding
 	StepsOut   int64 // visits removed by reroutes
 	Estimates  int64 // Estimate/ApproxAll/TopK calls served
+
+	// SlowNoops == 0 holds by construction: the skip coin is the "at least
+	// one step switches" indicator, and on heads the first switch is drawn
+	// before the scan, which performs it. The field stays for readers that
+	// assert the invariant.
 
 	// Deletion-path accounting. Deletions have no skip coin (no counter
 	// tracks steps through one specific edge), so they never touch the
@@ -104,11 +87,11 @@ func (c Counters) SkipRate() float64 {
 // counters is the maintainer's live accounting: atomics, so serialized and
 // parallel update paths share one implementation.
 type counters struct {
-	arrivals, fastSkips, emptySkips, slowPaths, slowNoops atomic.Int64
-	rerouted, revived, seeded, stepsIn, stepsOut          atomic.Int64
-	estimates                                             atomic.Int64
-	deletions, delMisses, delRerouted, delTruncated       atomic.Int64
-	suspects, swept                                       atomic.Int64
+	arrivals, fastSkips, emptySkips, slowPaths      atomic.Int64
+	rerouted, revived, seeded, stepsIn, stepsOut    atomic.Int64
+	estimates                                       atomic.Int64
+	deletions, delMisses, delRerouted, delTruncated atomic.Int64
+	suspects, swept                                 atomic.Int64
 }
 
 func (c *counters) snapshot() Counters {
@@ -117,7 +100,6 @@ func (c *counters) snapshot() Counters {
 		FastSkips:    c.fastSkips.Load(),
 		EmptySkips:   c.emptySkips.Load(),
 		SlowPaths:    c.slowPaths.Load(),
-		SlowNoops:    c.slowNoops.Load(),
 		Rerouted:     c.rerouted.Load(),
 		Revived:      c.revived.Load(),
 		Seeded:       c.seeded.Load(),
@@ -156,7 +138,6 @@ type updater struct {
 	// a parallel deletion batch a walk.Recorder over it that notes every step
 	// on one of the batch's deleted edges for the straggler sweep.
 	nb    walk.Neighborer
-	tail  []graph.NodeID
 	keys  []uint64
 	idx   []int
 	hits  []walkstore.PosHit
@@ -409,35 +390,23 @@ func (m *Maintainer) reroute(u, v graph.NodeID, d int, w *updater) {
 		return
 	}
 	inv := 1.0 / float64(d)
-	// first is the global index (over the fixed enumeration of all k
-	// candidate steps) of the first switch, pre-sampled when the fast path's
-	// skip coin came up heads; -1 means flip every candidate unconditionally.
-	first := int64(-1)
-	if !m.cfg.DisableFastPath {
-		if w.rng.Float64() < math.Pow(1-inv, float64(k)) {
-			m.cnt.fastSkips.Add(1)
-			return
-		}
-		first = stats.TruncatedGeometric(w.rng, inv, k)
+	if w.rng.Float64() < math.Pow(1-inv, float64(k)) {
+		m.cnt.fastSkips.Add(1)
+		return
 	}
-	ids, hits, held := m.freeze(u, w)
+	// first is the global index (over the fixed enumeration of all k
+	// candidate steps) of the first switch, pre-sampled now that the skip
+	// coin came up heads.
+	first := stats.TruncatedGeometric(w.rng, inv, k)
+	hits, held := m.freeze(u, w)
 	defer m.segMu.UnlockSet(held)
 	defer m.flushMuts(w)
 	for {
-		var rerouted, seen int64
-		if m.cfg.LegacyScan {
-			rerouted, seen = m.rerouteScan(ids, u, v, inv, first, w)
-		} else {
-			rerouted, seen = m.rerouteScanIndexed(hits, v, inv, first, w)
-		}
+		rerouted, seen := m.rerouteScanIndexed(hits, v, inv, first, w)
 		switch {
 		case rerouted > 0:
 			m.cnt.slowPaths.Add(1)
 			m.cnt.rerouted.Add(rerouted)
-			return
-		case first < 0:
-			m.cnt.slowPaths.Add(1)
-			m.cnt.slowNoops.Add(1)
 			return
 		case seen == 0:
 			m.cnt.emptySkips.Add(1)
@@ -448,18 +417,12 @@ func (m *Maintainer) reroute(u, v graph.NodeID, d int, w *updater) {
 }
 
 // freeze prepares one repair phase's enumeration over u's stored visits: it
-// reads the candidate source (the pending-position index by default, the
-// full visitor set with LegacyScan), locks the involved segments under the
+// probes the pending-position index, locks the involved segments under the
 // SegmentID stripes, and — on the parallel path — re-reads the index under
 // those locks so every hit position is exact, dropping hits of segments
 // another worker rerouted into u after the probe (they are simply not part
-// of this arrival's frozen enumeration, exactly like a segment missing from
-// the pre-index frozen visitor set). Exactly one of ids/hits is non-nil.
-func (m *Maintainer) freeze(u graph.NodeID, w *updater) (ids []walkstore.SegmentID, hits []walkstore.PosHit, held []int) {
-	if m.cfg.LegacyScan {
-		ids = sortedVisitors(m.walks, u)
-		return ids, nil, w.lockSegments(m.segMu, ids)
-	}
+// of this arrival's frozen enumeration).
+func (m *Maintainer) freeze(u graph.NodeID, w *updater) (hits []walkstore.PosHit, held []int) {
 	w.hits = m.walks.AppendPendingPositions(w.hits[:0], u, walkstore.Unsided)
 	w.segs = walkstore.DistinctSegments(w.segs, w.hits)
 	held = w.lockSegments(m.segMu, w.segs)
@@ -472,7 +435,7 @@ func (m *Maintainer) freeze(u graph.NodeID, w *updater) (ids []walkstore.Segment
 	// Bulk-fetch the frozen segments' paths under one segment-lock
 	// acquisition; the scans walk them via a cursor over w.segs.
 	w.paths = m.walks.AppendPaths(w.paths, w.segs)
-	return nil, w.hits, held
+	return w.hits, held
 }
 
 // groupPath returns the frozen path of segment id, advancing the scan's
@@ -485,45 +448,11 @@ func groupPath(w *updater, g *int, id walkstore.SegmentID) []graph.NodeID {
 	return w.paths[*g]
 }
 
-// rerouteScan runs one coin-flip pass over the frozen segments, returning
-// the number of reroutes performed and candidates enumerated.
-func (m *Maintainer) rerouteScan(ids []walkstore.SegmentID, u, v graph.NodeID, inv float64, first int64, w *updater) (rerouted, seen int64) {
-	idx := int64(0)
-	for _, id := range ids {
-		p := m.walks.Path(id) // stable: ReplaceTail relocates, never mutates
-		pos := -1
-		for i := 0; i < len(p)-1 && pos < 0; i++ {
-			if p[i] != u {
-				continue
-			}
-			if stats.FirstSuccessHit(w.rng, first, idx, inv) {
-				pos = i
-			}
-			idx++
-		}
-		if pos < 0 {
-			continue
-		}
-		// The segment's remaining candidates are superseded by the reroute,
-		// but they still occupy slots in the enumeration `first` was drawn
-		// over.
-		for i := pos + 1; i < len(p)-1; i++ {
-			if p[i] == u {
-				idx++
-			}
-		}
-		m.redirect(id, pos+1, v, w)
-		rerouted++
-	}
-	return rerouted, idx
-}
-
 // rerouteScanIndexed runs one coin-flip pass over the frozen pending-position
-// hits of the arrival's source. Hits arrive sorted by (segment, position) —
-// the same enumeration order the legacy full-path scan produces — so the
-// pre-sampled first-switch index means the same candidate under either scan.
-// Only the non-terminal hits are candidates; a segment's hits after its own
-// reroute this pass are superseded but keep their enumeration slots.
+// hits of the arrival's source. Hits arrive sorted by (segment, position),
+// the enumeration the pre-sampled first-switch index is drawn over. Only the
+// non-terminal hits are candidates; a segment's hits after its own reroute
+// this pass are superseded but keep their enumeration slots.
 func (m *Maintainer) rerouteScanIndexed(hits []walkstore.PosHit, v graph.NodeID, inv float64, first int64, w *updater) (rerouted, seen int64) {
 	idx := int64(0)
 	g := 0
@@ -571,32 +500,20 @@ func (m *Maintainer) revive(u, v graph.NodeID, w *updater) {
 		return
 	}
 	eps := m.cfg.Eps
-	first := int64(-1)
-	if !m.cfg.DisableFastPath {
-		if w.rng.Float64() < math.Pow(eps, float64(t)) {
-			m.cnt.fastSkips.Add(1)
-			return
-		}
-		first = stats.TruncatedGeometric(w.rng, 1-eps, t)
+	if w.rng.Float64() < math.Pow(eps, float64(t)) {
+		m.cnt.fastSkips.Add(1)
+		return
 	}
-	ids, hits, held := m.freeze(u, w)
+	first := stats.TruncatedGeometric(w.rng, 1-eps, t)
+	hits, held := m.freeze(u, w)
 	defer m.segMu.UnlockSet(held)
 	defer m.flushMuts(w)
 	for {
-		var revived, seen int64
-		if m.cfg.LegacyScan {
-			revived, seen = m.reviveScan(ids, u, v, eps, first, w)
-		} else {
-			revived, seen = m.reviveScanIndexed(hits, v, eps, first, w)
-		}
+		revived, seen := m.reviveScanIndexed(hits, v, eps, first, w)
 		switch {
 		case revived > 0:
 			m.cnt.slowPaths.Add(1)
 			m.cnt.revived.Add(revived)
-			return
-		case first < 0:
-			m.cnt.slowPaths.Add(1)
-			m.cnt.slowNoops.Add(1)
 			return
 		case seen == 0:
 			m.cnt.emptySkips.Add(1)
@@ -606,30 +523,10 @@ func (m *Maintainer) revive(u, v graph.NodeID, w *updater) {
 	}
 }
 
-// reviveScan runs one continuation pass over the frozen segments, returning
-// the number of revivals performed and terminals enumerated.
-func (m *Maintainer) reviveScan(ids []walkstore.SegmentID, u, v graph.NodeID, eps float64, first int64, w *updater) (revived, seen int64) {
-	idx := int64(0)
-	for _, id := range ids {
-		p := m.walks.Path(id)
-		if p[len(p)-1] != u {
-			continue // not a terminal visit; impossible while u was dangling
-		}
-		cont := stats.FirstSuccessHit(w.rng, first, idx, 1-eps)
-		idx++
-		if !cont {
-			continue
-		}
-		m.redirect(id, len(p), v, w)
-		revived++
-	}
-	return revived, idx
-}
-
-// reviveScanIndexed is reviveScan over frozen pending-position hits: the
-// terminal hit of each segment (position == last path index) is the revival
-// candidate, enumerated in the same ascending-segment order as the legacy
-// visitor scan.
+// reviveScanIndexed runs one continuation pass over the frozen
+// pending-position hits of the arrival's source: the terminal hit of each
+// segment (position == last path index) is the revival candidate,
+// enumerated in ascending segment order.
 func (m *Maintainer) reviveScanIndexed(hits []walkstore.PosHit, v graph.NodeID, eps float64, first int64, w *updater) (revived, seen int64) {
 	idx := int64(0)
 	g := 0
@@ -659,18 +556,10 @@ func (m *Maintainer) reviveScanIndexed(hits []walkstore.PosHit, v graph.NodeID, 
 
 // redirect truncates segment id to keep nodes, steps it to v, and extends it
 // with a fresh geometric tail sampled through the social store. Callers hold
-// the segment's stripe lock. The tail is always sampled here, inline — only
-// the store write is deferred to the phase's flushMuts unless
-// UnbatchedWrites — so the RNG sequence is identical on both paths.
+// the segment's stripe lock. The tail is sampled here, inline, so the RNG
+// draws in candidate order; only the store write waits for the phase's
+// flushMuts.
 func (m *Maintainer) redirect(id walkstore.SegmentID, keep int, v graph.NodeID, w *updater) {
-	if m.cfg.UnbatchedWrites {
-		w.tail = append(w.tail[:0], v)
-		w.tail = walk.AppendContinue(w.nb, v, m.cfg.Eps, w.rng, w.tail)
-		removed, added := m.walks.ReplaceTail(id, keep, w.tail)
-		m.cnt.stepsOut.Add(int64(removed))
-		m.cnt.stepsIn.Add(int64(added))
-		return
-	}
 	start := len(w.tailBuf)
 	w.tailBuf = append(w.tailBuf, v)
 	w.tailBuf = walk.AppendContinue(w.nb, v, m.cfg.Eps, w.rng, w.tailBuf)
@@ -680,11 +569,6 @@ func (m *Maintainer) redirect(id walkstore.SegmentID, keep int, v graph.NodeID, 
 // truncate cuts segment id down to keep nodes with no replacement tail (the
 // deletion path's reverse revival), deferred alongside the phase's redirects.
 func (m *Maintainer) truncate(id walkstore.SegmentID, keep int, w *updater) {
-	if m.cfg.UnbatchedWrites {
-		removed, _ := m.walks.ReplaceTail(id, keep, nil)
-		m.cnt.stepsOut.Add(int64(removed))
-		return
-	}
 	w.muts = append(w.muts, pendingMut{id: id, keep: keep})
 }
 
@@ -694,8 +578,7 @@ func (m *Maintainer) truncate(id walkstore.SegmentID, keep int, w *updater) {
 // stripe, instead of one of each per rerouted segment. Phases register it
 // with defer immediately after the UnlockSet defer, so it runs (LIFO) while
 // the segment stripe locks are still held; a phase's writes are therefore
-// fully visible before the source stripe is released, exactly as on the
-// unbatched path.
+// fully visible before the source stripe is released.
 func (m *Maintainer) flushMuts(w *updater) {
 	// The phase's scans are over. Its frozen paths alias the arena, so they
 	// are dropped rather than left in scratch capacity, where a later and
@@ -759,16 +642,6 @@ func (m *Maintainer) ensureNode(v graph.NodeID, w *updater) {
 	}
 	m.walks.AddBatch(paths)
 	m.cnt.seeded.Add(int64(len(paths)))
-}
-
-// sortedVisitors returns the segments visiting u in ascending ID order,
-// making a fixed-seed serialized run reproducible regardless of the visitor
-// set's internal representation — and giving every worker one canonical
-// enumeration order to draw first-switch indices over.
-func sortedVisitors(walks *walkstore.Store, u graph.NodeID) []walkstore.SegmentID {
-	ids := walks.Visitors(u)
-	slices.Sort(ids)
-	return ids
 }
 
 // Estimate returns the PageRank estimate of v: X_v / TotalVisits, the

@@ -12,6 +12,7 @@ import (
 	"fastppr/internal/socialstore"
 	"fastppr/internal/stats"
 	"fastppr/internal/topk"
+	"fastppr/internal/walkstore"
 )
 
 const oracleTol = 1e-11
@@ -91,12 +92,14 @@ func TestConvergesToOracleOnDirichletStream(t *testing.T) {
 	}
 }
 
-// TestFastPathEquivalence runs the same hub-heavy stream with the W(v) skip
-// enabled and disabled. The two estimate vectors must agree statistically,
-// the skip must actually fire (Dirichlet arrivals concentrate on
-// high-out-degree sources, where (1-1/d)^K is large), and the fast path's
-// conditional sampling must never pair a skip with sampled work: every
-// non-skipped arrival reroutes at least one segment, so SlowNoops stays 0.
+// TestFastPathEquivalence runs the same hub-heavy stream through the
+// maintainer and through the reference in flipAll mode, the naive law with
+// no skip coin, both from the same bootstrap. The two estimate vectors must
+// agree statistically, the skip must actually fire (Dirichlet arrivals
+// concentrate on high-out-degree sources, where (1-1/d)^K is large), and the
+// fast path's conditional sampling must never pair a skip with sampled work:
+// every non-skipped arrival reroutes at least one segment, so SlowNoops
+// stays 0.
 func TestFastPathEquivalence(t *testing.T) {
 	n, m, r := 100, 3000, 40
 	if testing.Short() {
@@ -106,17 +109,17 @@ func TestFastPathEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewPCG(77, 0))
 	stream := gen.DirichletStream(n, m, rng)
 
-	run := func(disable bool) (*Maintainer, Counters) {
-		mt, _ := newMaintainer(n, Config{Eps: eps, R: r, Workers: 4, Seed: 303, DisableFastPath: disable})
-		mt.Bootstrap()
-		mt.ApplyEdges(stream)
-		if err := mt.Store().Validate(); err != nil {
-			t.Fatal(err)
-		}
-		return mt, mt.Counters()
+	fast, _ := newMaintainer(n, Config{Eps: eps, R: r, Workers: 4, Seed: 303})
+	fast.Bootstrap()
+	slow := newReference(t, fast, buildGraph(n, nil), true)
+	fast.ApplyEdges(stream)
+	if err := fast.Store().Validate(); err != nil {
+		t.Fatal(err)
 	}
-	fast, fc := run(false)
-	slow, sc := run(true)
+	for _, ed := range stream {
+		slow.arrive(ed.From, ed.To)
+	}
+	fc, sc := fast.Counters(), slow.cnt
 
 	// Accounting identities: every arrival is exactly one of skip / empty /
 	// slow path.
@@ -137,25 +140,25 @@ func TestFastPathEquivalence(t *testing.T) {
 	if fc.Rerouted+fc.Revived < fc.SlowPaths {
 		t.Fatalf("slow paths=%d but only %d reroutes+revivals", fc.SlowPaths, fc.Rerouted+fc.Revived)
 	}
-	// The naive path flips every coin itself: no skips, and plenty of
+	// The naive law flips every coin itself: no skips, and plenty of
 	// arrivals where nothing reroutes.
 	if sc.FastSkips != 0 {
-		t.Fatalf("disabled fast path recorded %d skips", sc.FastSkips)
+		t.Fatalf("naive law recorded %d skips", sc.FastSkips)
 	}
 	if sc.SlowNoops == 0 {
-		t.Fatal("naive path never sampled an all-miss arrival; test graph degenerate")
+		t.Fatal("naive law never sampled an all-miss arrival; test graph degenerate")
 	}
 
-	// Both modes must land on the oracle, and on each other. Observed
+	// Both laws must land on the oracle, and on each other. Observed
 	// ~0.07 at these fixed seeds; 3x headroom.
 	pi := exact.PageRank(fast.Social().Graph(), eps, oracleTol)
 	if d := exact.L1(fast.ApproxAll(), pi); d > 0.2 {
 		t.Fatalf("fast-path L1 vs oracle=%v", d)
 	}
-	if d := exact.L1(slow.ApproxAll(), pi); d > 0.2 {
-		t.Fatalf("naive-path L1 vs oracle=%v", d)
+	if d := exact.L1(slow.estimates(), pi); d > 0.2 {
+		t.Fatalf("naive-law L1 vs oracle=%v", d)
 	}
-	if d := exact.L1(fast.ApproxAll(), slow.ApproxAll()); d > 0.25 {
+	if d := exact.L1(fast.ApproxAll(), slow.estimates()); d > 0.25 {
 		t.Fatalf("fast vs naive L1=%v — fast path shifted the distribution", d)
 	}
 }
@@ -388,4 +391,58 @@ func TestTruncatedGeometricLaw(t *testing.T) {
 			t.Fatalf("P(J=%d)=%v want %v (+-%v)", j, got, want, 5*sigma)
 		}
 	}
+}
+
+// TestScanCountsEveryCandidate pins what the retry loop in reroute relies
+// on: a scan reports every candidate slot as seen, superseded ones included,
+// so a retry redraws the first switch over the enumeration the skip coin's
+// exponent counted. Only parallel runs ever retry, so TestMatchesReference
+// cannot see this count. The self-loop makes walks revisit 0.
+func TestScanCountsEveryCandidate(t *testing.T) {
+	g := graph.New(2)
+	g.AddEdge(0, 0)
+	g.AddEdge(0, 1)
+	g.AddEdge(1, 0)
+	mt := New(socialstore.New(g), Config{Eps: 0.1, R: 40, Workers: 1, Seed: 9})
+	mt.Bootstrap()
+	k := mt.Store().Candidates(0)
+	w := mt.serial
+	hits, held := mt.freeze(0, w)
+	first := supersedingFirst(mt.Store(), hits)
+	var seen int64
+	if first >= 0 {
+		_, seen = mt.rerouteScanIndexed(hits, 1, 0.5, first, w)
+	}
+	mt.flushMuts(w)
+	mt.segMu.UnlockSet(held)
+	if first < 0 {
+		t.Fatal("setup: no segment holds two candidates")
+	}
+	if seen != k {
+		t.Fatalf("scan saw %d candidates, the skip coin counted %d", seen, k)
+	}
+}
+
+// supersedingFirst returns the enumeration index of the first candidate hit
+// (a non-terminal one) whose segment holds another candidate, or -1: drawn
+// as the first switch, it supersedes that other candidate.
+func supersedingFirst(s *walkstore.Store, hits []walkstore.PosHit) int64 {
+	isCand := func(h walkstore.PosHit) bool { return int(h.Pos) < len(s.Path(h.Seg))-1 }
+	cands := make(map[walkstore.SegmentID]int)
+	for _, h := range hits {
+		if isCand(h) {
+			cands[h.Seg]++
+		}
+	}
+	idx := int64(0)
+	for _, h := range hits {
+		if !isCand(h) {
+			continue
+		}
+		if cands[h.Seg] >= 2 {
+			return idx
+		}
+		idx++
+	}
+	return -1
 }

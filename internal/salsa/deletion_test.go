@@ -76,44 +76,6 @@ func TestConvergesToOracleOnShrinkGrowStream(t *testing.T) {
 	}
 }
 
-// TestDeletionLegacyScanBitwise pins both unroute phases at their strongest:
-// a fixed-seed serialized churn storm must produce bitwise-identical
-// estimates and counters with the pending-position index on and off.
-func TestDeletionLegacyScanBitwise(t *testing.T) {
-	n, m := 100, 700
-	if testing.Short() {
-		n, m = 60, 300
-	}
-	run := func(legacy bool) (map[graph.NodeID]float64, map[graph.NodeID]float64, Counters) {
-		mt, _ := newMaintainer(nodeGraph(n), Config{Eps: 0.2, R: 5, Workers: 1, Seed: 91, LegacyScan: legacy})
-		mt.Bootstrap()
-		rng := rand.New(rand.NewPCG(92, 0))
-		events := gen.PowerLawChurnStream(n, m, 0.8, 0.35, rng)
-		mt.ApplyEvents(events)
-		validateAll(t, mt)
-		return mt.AuthorityAll(), mt.HubAll(), mt.Counters()
-	}
-
-	authIdx, hubIdx, cntIdx := run(false)
-	authLeg, hubLeg, cntLeg := run(true)
-	if cntIdx != cntLeg {
-		t.Fatalf("counters diverged:\nindexed %+v\nlegacy  %+v", cntIdx, cntLeg)
-	}
-	if cntIdx.Deletions == 0 || cntIdx.DelRerouted+cntIdx.DelTruncated == 0 {
-		t.Fatalf("churn stream exercised no deletion repair: %+v", cntIdx)
-	}
-	for v, x := range authLeg {
-		if authIdx[v] != x {
-			t.Fatalf("authority[%d]=%v indexed, %v legacy", v, authIdx[v], x)
-		}
-	}
-	for v, x := range hubLeg {
-		if hubIdx[v] != x {
-			t.Fatalf("hub[%d]=%v indexed, %v legacy", v, hubIdx[v], x)
-		}
-	}
-}
-
 // TestBackwardTruncation pins the backward half of the reverse revival as the
 // exact inverse of TestBackwardRevival: revive x's backward terminals through
 // its first in-edge, then delete that in-edge — every backward step x -> 0

@@ -44,10 +44,10 @@
 // pending-position index (one (segment, position) hit per stored step of
 // the phase's direction at the endpoint, in the canonical ascending order
 // first-switch indices are drawn over), so a slow path costs O(hits)
-// instead of walking every visitor's full path; Config.LegacyScan keeps the
-// pre-index full-path enumeration alive for the bitwise-equivalence test
-// and the benchmark comparison — see
-// docs/DESIGN.md#7-the-pending-position-index.
+// instead of walking every visitor's full path — see
+// docs/DESIGN.md#7-the-pending-position-index. The tests hold every phase
+// bitwise to a reference that scans full paths and applies each mutation at
+// once (ref_test.go).
 //
 // Updates run serialized by default or concurrently with
 // Config.UpdateWorkers > 1: an arrival locks its (source, target) endpoint
@@ -110,9 +110,8 @@
 // each repair phase samples its tails inline — the coin sequence is
 // bitwise the sequential one — but coalesces the resulting mutations into
 // one walkstore.ReplaceTailBatch per phase, and the parallel path
-// pre-groups each arrival batch by source stripe. Config.UnbatchedWrites
-// keeps the per-call path as the equivalence oracle, and
-// Config.CompactEvery checks the arena between batches and compacts when
-// at least a quarter of it is garbage (walkstore.Store.MaybeCompact);
-// both are proven bitwise invisible by the fixed-seed batch tests.
+// pre-groups each arrival batch by source stripe. Config.CompactEvery
+// checks the arena between batches and compacts when at least a quarter of
+// it is garbage (walkstore.Store.MaybeCompact), proven bitwise invisible by
+// the fixed-seed batch tests.
 package salsa

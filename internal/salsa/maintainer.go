@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -42,20 +41,6 @@ type Config struct {
 	// QueryWalks is the number of Monte Carlo walks a personalized query
 	// runs; 0 means 1024.
 	QueryWalks int
-	// DisableFastPath turns the skip coins off: every arrival fetches the
-	// affected segments and flips per-step coins unconditionally. Estimates
-	// are drawn from the same distribution either way.
-	DisableFastPath bool
-	// LegacyScan makes the four repair phases enumerate candidates the
-	// pre-index way: fetch every visitor of the phase's endpoint and walk
-	// each full path, filtering by side and parity. The default consumes the
-	// store's pending-position index — O(hits) per phase instead of
-	// O(visitors × path length), which is the difference between the SALSA
-	// storm and the pagerank storm's throughput. Both paths enumerate the
-	// identical (segment, position) order and consume the RNG identically,
-	// so a fixed-seed serialized run is bitwise the same either way; the
-	// flag exists for benchmarks and the equivalence test.
-	LegacyScan bool
 	// CompactEvery, when positive, checks the arena every CompactEvery-th
 	// completed mutation (arrival or deletion) and runs Store.Compact when
 	// at least a quarter of it is garbage (Store.MaybeCompact), reclaiming
@@ -65,14 +50,6 @@ type Config struct {
 	// are bitwise identical with it on or off. See
 	// docs/DESIGN.md#11-batching--compaction.
 	CompactEvery int
-	// UnbatchedWrites routes every repair-phase tail write through an
-	// immediate per-segment ReplaceTail instead of the phase-batched
-	// ReplaceTailBatch flush. The batched path samples each fresh tail
-	// inline (consuming the RNG exactly where the unbatched path would)
-	// and only coalesces the store writes, so fixed-seed serialized runs
-	// are bitwise identical either way; the flag exists for benchmarks and
-	// the equivalence tests.
-	UnbatchedWrites bool
 }
 
 func (c Config) queryWalks() int {
@@ -91,13 +68,18 @@ type Counters struct {
 	FastSkips  int64 // repair phases dismissed by a skip coin alone
 	EmptySkips int64 // repair phases with no stored step to perturb
 	SlowPaths  int64 // repair phases that fetched segments from the store
-	SlowNoops  int64 // slow paths that sampled no reroute (0 while the fast path is on)
+	SlowNoops  int64 // slow paths that sampled no reroute: always 0, see below
 	Rerouted   int64 // segments redirected through a new edge mid-path
 	Revived    int64 // segments extended past a terminal that gained its needed edge
 	Seeded     int64 // segments generated for nodes first seen mid-stream
 	StepsIn    int64 // visits added by reroutes, revivals, and seeding
 	StepsOut   int64 // visits removed by reroutes
 	Queries    int64 // personalized queries served
+
+	// SlowNoops == 0 holds by construction: each skip coin is its phase's
+	// "at least one step switches" indicator, and on heads the first switch
+	// is drawn before the scan, which performs it. The field stays for
+	// readers that assert the invariant.
 
 	// Deletion-path accounting. Deletions have no skip coin (no counter
 	// tracks steps through one specific edge), so they never touch the
@@ -125,11 +107,11 @@ func (c Counters) SkipRate() float64 {
 // counters is the live atomic accounting shared by the serialized and
 // parallel update paths and the concurrent query layer.
 type counters struct {
-	arrivals, fastSkips, emptySkips, slowPaths, slowNoops atomic.Int64
-	rerouted, revived, seeded, stepsIn, stepsOut          atomic.Int64
-	queries                                               atomic.Int64
-	deletions, delMisses, delRerouted, delTruncated       atomic.Int64
-	suspects, swept                                       atomic.Int64
+	arrivals, fastSkips, emptySkips, slowPaths      atomic.Int64
+	rerouted, revived, seeded, stepsIn, stepsOut    atomic.Int64
+	queries                                         atomic.Int64
+	deletions, delMisses, delRerouted, delTruncated atomic.Int64
+	suspects, swept                                 atomic.Int64
 }
 
 func (c *counters) snapshot() Counters {
@@ -138,7 +120,6 @@ func (c *counters) snapshot() Counters {
 		FastSkips:    c.fastSkips.Load(),
 		EmptySkips:   c.emptySkips.Load(),
 		SlowPaths:    c.slowPaths.Load(),
-		SlowNoops:    c.slowNoops.Load(),
 		Rerouted:     c.rerouted.Load(),
 		Revived:      c.revived.Load(),
 		Seeded:       c.seeded.Load(),
@@ -178,7 +159,6 @@ type updater struct {
 	// a parallel deletion batch a walk.Recorder over it that notes every step
 	// on one of the batch's deleted edges for the straggler sweep.
 	nb      walk.Neighborer
-	tail    []graph.NodeID
 	keys    []uint64
 	idx     []int
 	hits    []walkstore.PosHit
@@ -519,19 +499,12 @@ func (m *Maintainer) applyOne(ed graph.Edge, w *updater) {
 }
 
 // freeze prepares one repair phase's candidate enumeration at node n for
-// pending direction dir: it reads the candidate source (the sided
-// pending-position index by default, the full visitor set with LegacyScan),
-// locks the involved segments under the SegmentID stripes, and — on the
-// parallel path — re-reads the index under those locks so every hit position
-// is exact, dropping hits of segments another worker mutated into n after
-// the probe (they are simply not part of this arrival's frozen enumeration,
-// exactly like a segment missing from the pre-index frozen visitor set).
-// Exactly one of ids/hits is non-nil.
-func (m *Maintainer) freeze(n graph.NodeID, dir walkstore.Side, w *updater) (ids []walkstore.SegmentID, hits []walkstore.PosHit, held []int) {
-	if m.cfg.LegacyScan {
-		ids = sortedVisitors(m.walks, n)
-		return ids, nil, w.lockSegments(m.segMu, ids)
-	}
+// pending direction dir: it probes the sided pending-position index, locks
+// the involved segments under the SegmentID stripes, and — on the parallel
+// path — re-reads the index under those locks so every hit position is
+// exact, dropping hits of segments another worker mutated into n after the
+// probe (they are simply not part of this arrival's frozen enumeration).
+func (m *Maintainer) freeze(n graph.NodeID, dir walkstore.Side, w *updater) (hits []walkstore.PosHit, held []int) {
 	w.hits = m.walks.AppendPendingPositions(w.hits[:0], n, dir)
 	w.segs = walkstore.DistinctSegments(w.segs, w.hits)
 	held = w.lockSegments(m.segMu, w.segs)
@@ -544,7 +517,7 @@ func (m *Maintainer) freeze(n graph.NodeID, dir walkstore.Side, w *updater) (ids
 	// Bulk-fetch the frozen segments' paths under one segment-lock
 	// acquisition; the scans walk them via a cursor over w.segs.
 	w.paths = m.walks.AppendPaths(w.paths, w.segs)
-	return nil, w.hits, held
+	return w.hits, held
 }
 
 // groupPath returns the frozen path of segment id, advancing the scan's
@@ -574,35 +547,23 @@ func (m *Maintainer) rerouteForward(u, v graph.NodeID, d int, w *updater) {
 		return
 	}
 	inv := 1.0 / float64(d)
-	// first is the global index (over the fixed enumeration of all k
-	// candidate steps) of the first switch, pre-sampled when the skip coin
-	// came up heads; -1 means flip every candidate unconditionally.
-	first := int64(-1)
-	if !m.cfg.DisableFastPath {
-		if w.rng.Float64() < math.Pow(1-inv, float64(k)) {
-			m.cnt.fastSkips.Add(1)
-			return
-		}
-		first = stats.TruncatedGeometric(w.rng, inv, k)
+	if w.rng.Float64() < math.Pow(1-inv, float64(k)) {
+		m.cnt.fastSkips.Add(1)
+		return
 	}
-	ids, hits, held := m.freeze(u, walkstore.SideForward, w)
+	// first is the global index (over the fixed enumeration of all k
+	// candidate steps) of the first switch, pre-sampled now that the skip
+	// coin came up heads.
+	first := stats.TruncatedGeometric(w.rng, inv, k)
+	hits, held := m.freeze(u, walkstore.SideForward, w)
 	defer m.segMu.UnlockSet(held)
 	defer m.flushMuts(w)
 	for {
-		var rerouted, seen int64
-		if m.cfg.LegacyScan {
-			rerouted, seen = m.forwardScan(ids, u, v, inv, first, w)
-		} else {
-			rerouted, seen = m.forwardScanIndexed(hits, v, inv, first, w)
-		}
+		rerouted, seen := m.forwardScanIndexed(hits, v, inv, first, w)
 		switch {
 		case rerouted > 0:
 			m.cnt.slowPaths.Add(1)
 			m.cnt.rerouted.Add(rerouted)
-			return
-		case first < 0:
-			m.cnt.slowPaths.Add(1)
-			m.cnt.slowNoops.Add(1)
 			return
 		case seen == 0:
 			m.cnt.emptySkips.Add(1)
@@ -612,48 +573,12 @@ func (m *Maintainer) rerouteForward(u, v graph.NodeID, d int, w *updater) {
 	}
 }
 
-// forwardScan runs one coin-flip pass over the frozen segments' forward
-// steps from u, returning reroutes performed and candidates enumerated.
-func (m *Maintainer) forwardScan(ids []walkstore.SegmentID, u, v graph.NodeID, inv float64, first int64, w *updater) (rerouted, seen int64) {
-	idx := int64(0)
-	for _, id := range ids {
-		side := m.walks.SideOf(id)
-		p := m.walks.Path(id) // stable: ReplaceTail relocates, never mutates
-		pos := -1
-		for i := 0; i < len(p)-1 && pos < 0; i++ {
-			if p[i] != u || side.PendingAt(i) != walkstore.SideForward {
-				continue
-			}
-			if stats.FirstSuccessHit(w.rng, first, idx, inv) {
-				pos = i
-			}
-			idx++
-		}
-		if pos < 0 {
-			continue
-		}
-		// The segment's remaining candidates are superseded by the reroute,
-		// but they still occupy slots in the enumeration `first` was drawn
-		// over.
-		for i := pos + 1; i < len(p)-1; i++ {
-			if p[i] == u && side.PendingAt(i) == walkstore.SideForward {
-				idx++
-			}
-		}
-		m.redirect(id, pos+1, v, walk.Backward, w)
-		w.touched.set(id, pos+1)
-		rerouted++
-	}
-	return rerouted, idx
-}
-
 // forwardScanIndexed runs the forward-phase coin pass over the frozen
 // forward-pending position hits of u: every non-terminal hit is one stored
-// forward step (the index guarantees node and parity), enumerated in the
-// same (segment, position) order as the legacy full-path scan, so the
-// pre-sampled first-switch index means the same candidate under either scan.
-// A segment's hits after its own reroute this pass are superseded but keep
-// their enumeration slots.
+// forward step (the index guarantees node and parity), enumerated in
+// (segment, position) order, the order the pre-sampled first-switch index is
+// drawn over. A segment's hits after its own reroute this pass are
+// superseded but keep their enumeration slots.
 func (m *Maintainer) forwardScanIndexed(hits []walkstore.PosHit, v graph.NodeID, inv float64, first int64, w *updater) (rerouted, seen int64) {
 	idx := int64(0)
 	g := 0
@@ -702,32 +627,20 @@ func (m *Maintainer) reviveForward(u, v graph.NodeID, w *updater) {
 		return
 	}
 	eps := m.cfg.Eps
-	first := int64(-1)
-	if !m.cfg.DisableFastPath {
-		if w.rng.Float64() < math.Pow(eps, float64(t)) {
-			m.cnt.fastSkips.Add(1)
-			return
-		}
-		first = stats.TruncatedGeometric(w.rng, 1-eps, t)
+	if w.rng.Float64() < math.Pow(eps, float64(t)) {
+		m.cnt.fastSkips.Add(1)
+		return
 	}
-	ids, hits, held := m.freeze(u, walkstore.SideForward, w)
+	first := stats.TruncatedGeometric(w.rng, 1-eps, t)
+	hits, held := m.freeze(u, walkstore.SideForward, w)
 	defer m.segMu.UnlockSet(held)
 	defer m.flushMuts(w)
 	for {
-		var revived, seen int64
-		if m.cfg.LegacyScan {
-			revived, seen = m.reviveForwardScan(ids, u, v, eps, first, w)
-		} else {
-			revived, seen = m.reviveForwardScanIndexed(hits, v, eps, first, w)
-		}
+		revived, seen := m.reviveForwardScanIndexed(hits, v, eps, first, w)
 		switch {
 		case revived > 0:
 			m.cnt.slowPaths.Add(1)
 			m.cnt.revived.Add(revived)
-			return
-		case first < 0:
-			m.cnt.slowPaths.Add(1)
-			m.cnt.slowNoops.Add(1)
 			return
 		case seen == 0:
 			m.cnt.emptySkips.Add(1)
@@ -737,31 +650,9 @@ func (m *Maintainer) reviveForward(u, v graph.NodeID, w *updater) {
 	}
 }
 
-func (m *Maintainer) reviveForwardScan(ids []walkstore.SegmentID, u, v graph.NodeID, eps float64, first int64, w *updater) (revived, seen int64) {
-	idx := int64(0)
-	for _, id := range ids {
-		side := m.walks.SideOf(id)
-		p := m.walks.Path(id)
-		last := len(p) - 1
-		if p[last] != u || side.PendingAt(last) != walkstore.SideForward {
-			continue
-		}
-		cont := stats.FirstSuccessHit(w.rng, first, idx, 1-eps)
-		idx++
-		if !cont {
-			continue
-		}
-		m.redirect(id, len(p), v, walk.Backward, w)
-		w.touched.set(id, len(p))
-		revived++
-	}
-	return revived, idx
-}
-
-// reviveForwardScanIndexed is reviveForwardScan over frozen forward-pending
-// hits: the revival candidates are exactly the terminal hits (position ==
-// last path index), enumerated in ascending-segment order like the legacy
-// visitor scan.
+// reviveForwardScanIndexed runs one continuation pass over frozen
+// forward-pending hits: the revival candidates are exactly the terminal hits
+// (position == last path index), enumerated in ascending segment order.
 func (m *Maintainer) reviveForwardScanIndexed(hits []walkstore.PosHit, v graph.NodeID, eps float64, first int64, w *updater) (revived, seen int64) {
 	idx := int64(0)
 	g := 0
@@ -808,32 +699,20 @@ func (m *Maintainer) rerouteBackward(v, u graph.NodeID, d int, w *updater) {
 		return
 	}
 	inv := 1.0 / float64(d)
-	first := int64(-1)
-	if !m.cfg.DisableFastPath {
-		if w.rng.Float64() < math.Pow(1-inv, float64(k)) {
-			m.cnt.fastSkips.Add(1)
-			return
-		}
-		first = stats.TruncatedGeometric(w.rng, inv, k)
+	if w.rng.Float64() < math.Pow(1-inv, float64(k)) {
+		m.cnt.fastSkips.Add(1)
+		return
 	}
-	ids, hits, held := m.freeze(v, walkstore.SideBackward, w)
+	first := stats.TruncatedGeometric(w.rng, inv, k)
+	hits, held := m.freeze(v, walkstore.SideBackward, w)
 	defer m.segMu.UnlockSet(held)
 	defer m.flushMuts(w)
 	for {
-		var rerouted, seen int64
-		if m.cfg.LegacyScan {
-			rerouted, seen = m.backwardScan(ids, v, u, inv, first, w)
-		} else {
-			rerouted, seen = m.backwardScanIndexed(hits, u, inv, first, w)
-		}
+		rerouted, seen := m.backwardScanIndexed(hits, u, inv, first, w)
 		switch {
 		case rerouted > 0:
 			m.cnt.slowPaths.Add(1)
 			m.cnt.rerouted.Add(rerouted)
-			return
-		case first < 0:
-			m.cnt.slowPaths.Add(1)
-			m.cnt.slowNoops.Add(1)
 			return
 		case seen == 0:
 			m.cnt.emptySkips.Add(1)
@@ -841,39 +720,6 @@ func (m *Maintainer) rerouteBackward(v, u graph.NodeID, d int, w *updater) {
 		}
 		first = stats.TruncatedGeometric(w.rng, inv, seen)
 	}
-}
-
-func (m *Maintainer) backwardScan(ids []walkstore.SegmentID, v, u graph.NodeID, inv float64, first int64, w *updater) (rerouted, seen int64) {
-	idx := int64(0)
-	for _, id := range ids {
-		side := m.walks.SideOf(id)
-		p := m.walks.Path(id)
-		end := len(p) - 1 // candidates are non-terminal visits
-		if keep, ok := w.touched.get(id); ok && keep < end {
-			end = keep // positions >= keep are fresh
-		}
-		pos := -1
-		for i := 0; i < end && pos < 0; i++ {
-			if p[i] != v || side.PendingAt(i) != walkstore.SideBackward {
-				continue
-			}
-			if stats.FirstSuccessHit(w.rng, first, idx, inv) {
-				pos = i
-			}
-			idx++
-		}
-		if pos < 0 {
-			continue
-		}
-		for i := pos + 1; i < end; i++ {
-			if p[i] == v && side.PendingAt(i) == walkstore.SideBackward {
-				idx++
-			}
-		}
-		m.redirect(id, pos+1, u, walk.Forward, w)
-		rerouted++
-	}
-	return rerouted, idx
 }
 
 // backwardScanIndexed runs the backward-phase coin pass over the frozen
@@ -932,46 +778,30 @@ func (m *Maintainer) reviveBackward(v, u graph.NodeID, w *updater) {
 		m.cnt.emptySkips.Add(1)
 		return
 	}
-	ids, hits, held := m.freeze(v, walkstore.SideBackward, w)
+	hits, held := m.freeze(v, walkstore.SideBackward, w)
 	defer m.segMu.UnlockSet(held)
 	defer m.flushMuts(w)
 	revived := int64(0)
-	if m.cfg.LegacyScan {
-		for _, id := range ids {
-			side := m.walks.SideOf(id)
-			p := m.walks.Path(id)
-			last := len(p) - 1
-			if p[last] != v || side.PendingAt(last) != walkstore.SideBackward {
-				continue
-			}
+	g := 0
+	for i := 0; i < len(hits); {
+		id := hits[i].Seg
+		j := i
+		for j < len(hits) && hits[j].Seg == id {
+			j++
+		}
+		p := groupPath(w, &g, id)
+		last := len(p) - 1
+		if int(hits[j-1].Pos) == last { // terminal hit: backward-pending end at v
 			// A tail regenerated this arrival cannot end backward-pending at
 			// v (v already has the new in-edge), so this guard is
 			// unreachable; it keeps the phase safe against double-sampling
 			// regardless.
-			if keep, ok := w.touched.get(id); ok && last >= keep {
-				continue
+			if keep, ok := w.touched.get(id); !ok || last < keep {
+				m.redirect(id, len(p), u, walk.Forward, w)
+				revived++
 			}
-			m.redirect(id, len(p), u, walk.Forward, w)
-			revived++
 		}
-	} else {
-		g := 0
-		for i := 0; i < len(hits); {
-			id := hits[i].Seg
-			j := i
-			for j < len(hits) && hits[j].Seg == id {
-				j++
-			}
-			p := groupPath(w, &g, id)
-			last := len(p) - 1
-			if int(hits[j-1].Pos) == last { // terminal hit: backward-pending end at v
-				if keep, ok := w.touched.get(id); !ok || last < keep {
-					m.redirect(id, len(p), u, walk.Forward, w)
-					revived++
-				}
-			}
-			i = j
-		}
+		i = j
 	}
 	if revived > 0 {
 		m.cnt.slowPaths.Add(1)
@@ -985,18 +815,9 @@ func (m *Maintainer) reviveBackward(v, u graph.NodeID, w *updater) {
 // it with a fresh alternating tail whose next step has direction nextDir,
 // sampled through the social store. Parity is preserved: position keep's
 // pending direction is automatically nextDir. Callers hold the segment's
-// stripe lock. The tail is always sampled here, inline — only the store
-// write is deferred to the phase's flushMuts unless UnbatchedWrites — so
-// the RNG sequence is identical on both paths.
+// stripe lock. The tail is sampled here, inline, so the RNG draws in
+// candidate order; only the store write waits for the phase's flushMuts.
 func (m *Maintainer) redirect(id walkstore.SegmentID, keep int, to graph.NodeID, nextDir walk.Direction, w *updater) {
-	if m.cfg.UnbatchedWrites {
-		w.tail = append(w.tail[:0], to)
-		w.tail = walk.AppendContinueSalsa(w.nb, to, nextDir, m.cfg.Eps, w.rng, w.tail)
-		removed, added := m.walks.ReplaceTail(id, keep, w.tail)
-		m.cnt.stepsOut.Add(int64(removed))
-		m.cnt.stepsIn.Add(int64(added))
-		return
-	}
 	start := len(w.tailBuf)
 	w.tailBuf = append(w.tailBuf, to)
 	w.tailBuf = walk.AppendContinueSalsa(w.nb, to, nextDir, m.cfg.Eps, w.rng, w.tailBuf)
@@ -1006,11 +827,6 @@ func (m *Maintainer) redirect(id walkstore.SegmentID, keep int, to graph.NodeID,
 // truncate cuts segment id down to keep nodes with no replacement tail (the
 // deletion path's reverse revival), deferred alongside the phase's redirects.
 func (m *Maintainer) truncate(id walkstore.SegmentID, keep int, w *updater) {
-	if m.cfg.UnbatchedWrites {
-		removed, _ := m.walks.ReplaceTail(id, keep, nil)
-		m.cnt.stepsOut.Add(int64(removed))
-		return
-	}
 	w.muts = append(w.muts, pendingMut{id: id, keep: keep})
 }
 
@@ -1020,8 +836,7 @@ func (m *Maintainer) truncate(id walkstore.SegmentID, keep int, w *updater) {
 // stripe, instead of one of each per rerouted segment. Phases register it
 // with defer immediately after the UnlockSet defer, so it runs (LIFO) while
 // the segment stripe locks are still held; a phase's writes are therefore
-// fully visible before the next phase probes the store, exactly as on the
-// unbatched path.
+// fully visible before the next phase probes the store.
 func (m *Maintainer) flushMuts(w *updater) {
 	// The phase's scans are over. Its frozen paths alias the arena, so they
 	// are dropped rather than left in scratch capacity, where a later and
@@ -1090,16 +905,6 @@ func (m *Maintainer) ensureNode(v graph.NodeID, w *updater) {
 	m.walks.AddBatchSided(pathsF, walkstore.SideForward)
 	m.walks.AddBatchSided(pathsB, walkstore.SideBackward)
 	m.cnt.seeded.Add(int64(2 * m.cfg.R))
-}
-
-// sortedVisitors returns the segments visiting u in ascending ID order,
-// making a fixed-seed serialized run reproducible regardless of the visitor
-// set's internal representation, and giving every worker one canonical
-// enumeration order.
-func sortedVisitors(walks *walkstore.Store, u graph.NodeID) []walkstore.SegmentID {
-	ids := walks.Visitors(u)
-	slices.Sort(ids)
-	return ids
 }
 
 // AuthorityEstimate returns v's global authority score: the fraction of all

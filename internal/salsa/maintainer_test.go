@@ -11,6 +11,7 @@ import (
 	"fastppr/internal/graph"
 	"fastppr/internal/socialstore"
 	"fastppr/internal/topk"
+	"fastppr/internal/walkstore"
 )
 
 const oracleTol = 1e-11
@@ -122,7 +123,9 @@ func TestStreamConvergesToOracle(t *testing.T) {
 
 // TestFastPathInvariants pins the lossless-skip accounting on both update
 // phases: with the fast path on, a slow path always performs work
-// (SlowNoops == 0); with it off, no skips happen and all-miss arrivals do.
+// (SlowNoops == 0). The reference in flipAll mode, the naive law, runs the
+// same stream from the same bootstrap: it never skips, and both land on the
+// oracle.
 func TestFastPathInvariants(t *testing.T) {
 	n, m, r := 80, 1500, 30
 	if testing.Short() {
@@ -132,21 +135,17 @@ func TestFastPathInvariants(t *testing.T) {
 	rng := rand.New(rand.NewPCG(51, 0))
 	stream := gen.DirichletStream(n, m, rng)
 
-	run := func(disable bool) (*Maintainer, Counters) {
-		g := graph.New(n)
-		for i := 0; i < n; i++ {
-			g.AddNode(graph.NodeID(i))
-		}
-		mt, _ := newMaintainer(g, Config{Eps: eps, R: r, Workers: 2, Seed: 52, DisableFastPath: disable})
-		mt.Bootstrap()
-		mt.ApplyEdges(stream)
-		if err := mt.Store().Validate(); err != nil {
-			t.Fatal(err)
-		}
-		return mt, mt.Counters()
+	fast, _ := newMaintainer(nodeGraph(n), Config{Eps: eps, R: r, Workers: 2, Seed: 52})
+	fast.Bootstrap()
+	slow := newReference(t, fast, nodeGraph(n), true)
+	fast.ApplyEdges(stream)
+	if err := fast.Store().Validate(); err != nil {
+		t.Fatal(err)
 	}
-	fast, fc := run(false)
-	_, sc := run(true)
+	for _, ed := range stream {
+		slow.arrive(ed.From, ed.To)
+	}
+	fc, sc := fast.Counters(), slow.cnt
 
 	// Each arrival runs exactly two repair phases.
 	if fc.FastSkips+fc.EmptySkips+fc.SlowPaths != 2*fc.Arrivals {
@@ -159,12 +158,15 @@ func TestFastPathInvariants(t *testing.T) {
 		t.Fatalf("slow paths=%d but only %d reroutes+revivals", fc.SlowPaths, fc.Rerouted+fc.Revived)
 	}
 	if sc.FastSkips != 0 {
-		t.Fatalf("disabled fast path recorded %d skips", sc.FastSkips)
+		t.Fatalf("naive law recorded %d skips", sc.FastSkips)
 	}
 
 	auth, _ := exact.Salsa(fast.Social().Graph(), eps, oracleTol)
 	if d := exact.L1(fast.AuthorityAll(), auth); d > 0.25 {
 		t.Fatalf("fast-path authority L1 vs oracle=%v", d)
+	}
+	if d := exact.L1(slow.authorities(), auth); d > 0.25 {
+		t.Fatalf("naive-law authority L1 vs oracle=%v", d)
 	}
 }
 
@@ -178,35 +180,28 @@ func TestFastPathInvariants(t *testing.T) {
 func TestSkipCoinFiresOnHighDegreeSource(t *testing.T) {
 	const leaves = 400
 	hub := graph.NodeID(0)
-	run := func(disable bool) Counters {
-		g := graph.New(0)
-		g.AddNode(hub)
-		for i := 1; i <= leaves; i++ {
-			g.AddNode(graph.NodeID(i))
-		}
-		mt, _ := newMaintainer(g, Config{Eps: 0.5, R: 1, Workers: 1, Seed: 53, DisableFastPath: disable})
-		mt.Bootstrap()
-		for i := 1; i <= leaves; i++ {
-			mt.ApplyEdge(graph.Edge{From: hub, To: graph.NodeID(i)})
-		}
-		if err := mt.Store().Validate(); err != nil {
-			t.Fatal(err)
-		}
-		return mt.Counters()
+	mt, _ := newMaintainer(nodeGraph(leaves+1), Config{Eps: 0.5, R: 1, Workers: 1, Seed: 53})
+	mt.Bootstrap()
+	naive := newReference(t, mt, nodeGraph(leaves+1), true)
+	for i := 1; i <= leaves; i++ {
+		mt.ApplyEdge(graph.Edge{From: hub, To: graph.NodeID(i)})
+		naive.arrive(hub, graph.NodeID(i))
 	}
-	c := run(false)
+	if err := mt.Store().Validate(); err != nil {
+		t.Fatal(err)
+	}
+	c := mt.Counters()
 	if c.FastSkips == 0 {
 		t.Fatalf("skip coin never fired on a %d-degree source: %+v", leaves, c)
 	}
 	if c.SlowNoops != 0 {
 		t.Fatalf("lossless fast path recorded %d no-op slow paths", c.SlowNoops)
 	}
-	// The naive path flips every coin itself; in this regime plenty of
+	// The naive law flips every coin itself; in this regime plenty of
 	// arrivals miss every candidate, which the skip coin would have
 	// dismissed for one counter read.
-	nc := run(true)
-	if nc.SlowNoops == 0 {
-		t.Fatal("naive path never sampled an all-miss arrival in the skip regime")
+	if naive.cnt.SlowNoops == 0 {
+		t.Fatal("naive law never sampled an all-miss arrival in the skip regime")
 	}
 }
 
@@ -342,4 +337,66 @@ func TestEmptyMaintainer(t *testing.T) {
 	if st := q.Stats(); st.StoreCalls != st.BareSteps {
 		t.Fatalf("call accounting drifted on empty graph: %+v", st)
 	}
+}
+
+// TestScanCountsEveryCandidate pins what the retry loops of the two reroute
+// phases rely on: a scan reports every candidate slot as seen, superseded
+// ones included, so a retry redraws the first switch over the enumeration
+// the skip coin's exponent counted. Only parallel runs ever retry, so
+// TestMatchesReference cannot see this count. The self-loop makes walks
+// revisit 0 on both sides.
+func TestScanCountsEveryCandidate(t *testing.T) {
+	g := graph.New(2)
+	g.AddEdge(0, 0)
+	g.AddEdge(0, 1)
+	g.AddEdge(1, 0)
+	mt, _ := newMaintainer(g, Config{Eps: 0.1, R: 40, Workers: 1, Seed: 9})
+	mt.Bootstrap()
+	w := mt.serial
+	for _, dir := range []walkstore.Side{walkstore.SideForward, walkstore.SideBackward} {
+		k := mt.Store().PendingCandidates(0, dir)
+		w.touched.reset()
+		hits, held := mt.freeze(0, dir, w)
+		first := supersedingFirst(mt.Store(), hits)
+		var seen int64
+		switch {
+		case first < 0:
+		case dir == walkstore.SideForward:
+			_, seen = mt.forwardScanIndexed(hits, 1, 0.5, first, w)
+		default:
+			_, seen = mt.backwardScanIndexed(hits, 1, 0.5, first, w)
+		}
+		mt.flushMuts(w)
+		mt.segMu.UnlockSet(held)
+		if first < 0 {
+			t.Fatalf("side %d setup: no segment holds two candidates", dir)
+		}
+		if seen != k {
+			t.Fatalf("side %d: scan saw %d candidates, the skip coin counted %d", dir, seen, k)
+		}
+	}
+}
+
+// supersedingFirst returns the enumeration index of the first candidate hit
+// (a non-terminal one) whose segment holds another candidate, or -1: drawn
+// as the first switch, it supersedes that other candidate.
+func supersedingFirst(s *walkstore.Store, hits []walkstore.PosHit) int64 {
+	isCand := func(h walkstore.PosHit) bool { return int(h.Pos) < len(s.Path(h.Seg))-1 }
+	cands := make(map[walkstore.SegmentID]int)
+	for _, h := range hits {
+		if isCand(h) {
+			cands[h.Seg]++
+		}
+	}
+	idx := int64(0)
+	for _, h := range hits {
+		if !isCand(h) {
+			continue
+		}
+		if cands[h.Seg] >= 2 {
+			return idx
+		}
+		idx++
+	}
+	return -1
 }

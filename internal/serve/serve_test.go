@@ -45,15 +45,15 @@ func sameQuery(a, b *salsa.Query) bool {
 // with the store quiet, a cache hit must be byte-identical to a fresh
 // recompute at the same epoch (same stream), cost exactly 0 store calls,
 // and survive arrivals that miss its stripe mask while dying on ones that
-// hit it. Table-driven over fast path on/off and legacy scan.
+// hit it. Table-driven over seeds and store shapes.
 func TestHitIsBitwiseRecompute(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  salsa.Config
 	}{
 		{"fastpath", salsa.Config{Eps: 0.2, R: 6, Workers: 1, Seed: 41, QueryWalks: 128}},
-		{"slowpath", salsa.Config{Eps: 0.2, R: 6, Workers: 1, Seed: 42, QueryWalks: 128, DisableFastPath: true}},
-		{"legacyscan", salsa.Config{Eps: 0.25, R: 4, Workers: 1, Seed: 43, QueryWalks: 96, LegacyScan: true}},
+		{"seed42", salsa.Config{Eps: 0.2, R: 6, Workers: 1, Seed: 42, QueryWalks: 128}},
+		{"eps0.25-r4-q96", salsa.Config{Eps: 0.25, R: 4, Workers: 1, Seed: 43, QueryWalks: 96}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -28,14 +28,11 @@ func TruncatedGeometric(rng *rand.Rand, p float64, k int64) int64 {
 }
 
 // FirstSuccessHit decides whether the idx-th enumerated Bernoulli(p) trial
-// succeeds, given a pre-sampled first-success index from TruncatedGeometric
-// (or first < 0 for unconditional flips with the fast path disabled): trials
-// before first fail by construction, trial first succeeds, and later trials
-// flip independent coins. Shared by both maintainers' repair scans.
+// succeeds, given a pre-sampled first-success index from TruncatedGeometric:
+// trials before first fail by construction, trial first succeeds, and later
+// trials flip independent coins. Shared by both maintainers' repair scans.
 func FirstSuccessHit(rng *rand.Rand, first, idx int64, p float64) bool {
 	switch {
-	case first < 0:
-		return rng.Float64() < p
 	case idx < first:
 		return false
 	case idx == first:

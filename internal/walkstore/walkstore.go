@@ -895,8 +895,8 @@ func (s *Store) PendingVisitFraction(v graph.NodeID, dir Side) (visits, total in
 // derived from the pending-position buckets (which hold one entry per
 // visit), so it costs a sort over the visit count rather than a table read —
 // and, like AppendPendingPositions, the stripe's write lock when a bucket
-// has unfolded writes. Acceptable for its remaining callers (the legacy scan
-// path and tests); the hot paths consume AppendPendingPositions directly.
+// has unfolded writes. Acceptable for its remaining callers (W and tests);
+// the hot paths consume AppendPendingPositions directly.
 func (s *Store) Visitors(v graph.NodeID) []SegmentID {
 	var ids []SegmentID
 	s.viewPending(v, 0, pendingBuckets, func(ns *nodeState) {
