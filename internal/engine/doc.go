@@ -11,11 +11,15 @@
 // allocates nothing per segment. Segment generation runs as a lockstep
 // burst: up to Batch walkers advance together, one shard-grouped sampling
 // call per round, and finished bursts are flushed into the store through
-// AddBatch under a single lock acquisition. Edge updates stripe-lock on
-// SegmentID (via the shared stripes package) so two workers never reroute
-// the same segment concurrently while leaving unrelated segments fully
-// parallel — the same per-segment serialization contract the maintainers'
-// parallel update paths rely on; see docs/DESIGN.md#6-concurrency-model
+// AddBatch under a single lock acquisition. Edge updates freeze, stage and
+// flush through internal/repair's kernel over the engine's own SegmentID
+// stripes, so two workers never reroute the same segment concurrently while
+// leaving unrelated segments fully parallel — the same per-segment
+// serialization contract the maintainers' parallel update paths rely on.
+// The coin loops are the engine's own: no skip coin, a flip per candidate
+// until a capture, and a deletion re-step drawn through the worker's
+// Recorder because the engine holds no source stripe. See
+// docs/DESIGN.md#6-concurrency-model
 // for the system-wide lock order and docs/DESIGN.md#1-data-flow for where
 // the engine sits in it.
 //

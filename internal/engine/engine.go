@@ -7,8 +7,7 @@ import (
 	"sync/atomic"
 
 	"fastppr/internal/graph"
-	"fastppr/internal/stripes"
-	"fastppr/internal/walk"
+	"fastppr/internal/repair"
 	"fastppr/internal/walkstore"
 )
 
@@ -52,10 +51,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// updateStripes is the number of per-segment locks serializing concurrent
-// reroutes of the same segment during ApplyEdges.
-const updateStripes = 512
-
 // Engine generates and maintains walk segments over a graph/store pair.
 // Methods are safe for concurrent use, though BuildStore is normally called
 // once.
@@ -63,7 +58,9 @@ type Engine struct {
 	g     *graph.Graph
 	store *walkstore.Store
 	cfg   Config
-	segMu *stripes.MutexSet
+	// k freezes, stages and flushes the update paths' repairs under its own
+	// SegmentID stripes; the coin loops around it are the engine's.
+	k *repair.Kernel
 }
 
 // New returns an engine over g and store.
@@ -71,7 +68,9 @@ func New(g *graph.Graph, store *walkstore.Store, cfg Config) *Engine {
 	if cfg.Eps <= 0 || cfg.Eps > 1 {
 		panic("engine: Eps must be in (0, 1]")
 	}
-	return &Engine{g: g, store: store, cfg: cfg.withDefaults(), segMu: stripes.NewMutexSet(updateStripes)}
+	cfg = cfg.withDefaults()
+	k := repair.New(store, g, repair.Config{Eps: cfg.Eps, Tail: repair.ResetTail, Workers: cfg.Workers})
+	return &Engine{g: g, store: store, cfg: cfg, k: k}
 }
 
 // Store returns the engine's walk store.
@@ -214,63 +213,12 @@ type UpdateStats struct {
 	Candidate int64 // segment visits examined (the paper's W(u) work bound)
 }
 
-// updState is one ApplyEdges worker's reusable buffers: regenerated tail,
-// stripe-lock keys, and the pending-position probe/freeze scratch.
-type updState struct {
-	tail  []graph.NodeID
-	keys  []uint64
-	idx   []int
-	hits  []walkstore.PosHit
-	segs  []walkstore.SegmentID
-	paths [][]graph.NodeID
-
-	// Deferred-write state: the repair loops sample fresh tails into
-	// tailBuf inline (preserving the exact RNG consumption order) and
-	// record a pendingMut each; flushMuts applies one arrival's mutations
-	// through one stripe-grouped ReplaceTailBatch pass.
-	tailBuf []graph.NodeID
-	muts    []pendingMut
-	tms     []walkstore.TailMutation
-}
-
-// pendingMut is one deferred ReplaceTail; start == end records a pure
-// truncation (the deletion path's reverse revival).
-type pendingMut struct {
-	id         walkstore.SegmentID
-	keep       int
-	start, end int // st.tailBuf[start:end] is the fresh tail
-}
-
-// flushMuts applies the deferred tail mutations through one stripe-grouped
-// ReplaceTailBatch pass, crediting removed/added visits to the caller's
-// stats. Registered with defer after the UnlockSet defer, so it runs (LIFO)
-// while the segment stripe locks are still held.
-func (e *Engine) flushMuts(st *updState, stepsOut, stepsIn *int64) {
-	// The phase's scans are over. Its frozen paths alias the arena, so they
-	// are dropped rather than left in scratch capacity, where a later and
-	// shorter freeze would not overwrite them and they would keep an arena
-	// that Compact has since replaced reachable.
-	clear(st.paths)
-	st.paths = st.paths[:0]
-	if len(st.muts) == 0 {
-		return
-	}
-	for _, mu := range st.muts {
-		var tail []graph.NodeID
-		if mu.end > mu.start {
-			tail = st.tailBuf[mu.start:mu.end:mu.end]
-		}
-		st.tms = append(st.tms, walkstore.TailMutation{ID: mu.id, Keep: mu.keep, NewTail: tail})
-	}
-	removed, added := e.store.ReplaceTailBatch(st.tms)
-	// Likewise the staged tails, which alias a tailBuf that append may by
-	// now have outgrown.
-	clear(st.tms)
-	st.tms = st.tms[:0]
+// release ends a repair phase through the kernel (flush, then unlock) and
+// credits the visits it removed and added.
+func (e *Engine) release(w *repair.Worker, stepsOut, stepsIn *int64) {
+	removed, added := e.k.Release(w)
 	*stepsOut += int64(removed)
 	*stepsIn += int64(added)
-	st.muts = st.muts[:0]
-	st.tailBuf = st.tailBuf[:0]
 }
 
 // ApplyEdges replays edge arrivals through the paper's update rule using the
@@ -290,13 +238,12 @@ func (e *Engine) ApplyEdges(edges []graph.Edge, seed uint64) UpdateStats {
 	var stats UpdateStats
 	var statsMu sync.Mutex
 	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
+	for wk := 0; wk < cfg.Workers; wk++ {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewPCG(seed, uint64(worker)))
+			w := repair.NewWorker(rand.New(rand.NewPCG(seed, uint64(worker))), e.g)
 			var local UpdateStats
-			var st updState
 			for {
 				i := int(cursor.Add(1)) - 1
 				if i >= len(edges) {
@@ -305,7 +252,7 @@ func (e *Engine) ApplyEdges(edges []graph.Edge, seed uint64) UpdateStats {
 				ed := edges[i]
 				d, _ := e.g.AddEdge(ed.From, ed.To)
 				local.Edges++
-				e.applyOne(ed, d, rng, &st, &local)
+				e.applyOne(ed, d, w, &local)
 			}
 			statsMu.Lock()
 			stats.Edges += local.Edges
@@ -315,20 +262,19 @@ func (e *Engine) ApplyEdges(edges []graph.Edge, seed uint64) UpdateStats {
 			stats.StepsOut += local.StepsOut
 			stats.Candidate += local.Candidate
 			statsMu.Unlock()
-		}(w)
+		}(wk)
 	}
 	wg.Wait()
 	return stats
 }
 
 // applyOne reroutes the stored segments affected by one inserted edge, given
-// u's out-degree d from the insert's reply, consuming the store's
-// pending-position index: probe the visit positions at u, freeze the hit
-// segments under their SegmentID stripes, re-read the index so every
-// position is exact (another worker may have rerouted a probed segment in
-// between), then flip coins only at the stored steps the new edge can
-// actually capture instead of walking every visitor's path.
-func (e *Engine) applyOne(ed graph.Edge, d int, rng *rand.Rand, st *updState, stats *UpdateStats) {
+// u's out-degree d from the insert's reply, over the kernel's freeze of u's
+// pending positions (repair.Kernel.Freeze): it flips coins only at the
+// stored steps the new edge can actually capture instead of walking every
+// visitor's path. Unlike the maintainers' phases it has no skip coin, flips
+// every candidate until a capture and revives on a >= eps coin.
+func (e *Engine) applyOne(ed graph.Edge, d int, w *repair.Worker, stats *UpdateStats) {
 	u, v := ed.From, ed.To
 	inv := 1.0 / float64(d)
 	// firstEdge: this arrival took u from dangling to degree 1. Every stored
@@ -340,38 +286,10 @@ func (e *Engine) applyOne(ed graph.Edge, d int, rng *rand.Rand, st *updState, st
 	if firstEdge {
 		stats.Revivals++
 	}
-	st.hits = e.store.AppendPendingPositions(st.hits[:0], u, walkstore.Unsided)
-	if len(st.hits) == 0 {
-		return
-	}
-	st.segs = walkstore.DistinctSegments(st.segs, st.hits)
-	st.keys = st.keys[:0]
-	for _, id := range st.segs {
-		st.keys = append(st.keys, uint64(id))
-	}
-	st.idx = e.segMu.LockKeys(st.keys, st.idx)
-	defer e.segMu.UnlockSet(st.idx)
-	defer e.flushMuts(st, &stats.StepsOut, &stats.StepsIn)
-	if e.cfg.Workers > 1 {
-		// Another worker may have mutated a probed segment between the probe
-		// and the freeze; re-read now that the segments cannot move.
-		st.hits = e.store.AppendPendingPositions(st.hits[:0], u, walkstore.Unsided)
-		st.hits = walkstore.KeepSegments(st.hits, st.segs)
-	}
-	st.paths = e.store.AppendPaths(st.paths, st.segs)
-	g := 0
-	for i := 0; i < len(st.hits); {
-		id := st.hits[i].Seg
-		j := i
-		for j < len(st.hits) && st.hits[j].Seg == id {
-			j++
-		}
-		group := st.hits[i:j]
-		i = j
-		for st.segs[g] != id {
-			g++
-		}
-		path := st.paths[g]
+	e.k.Freeze(w, u, walkstore.Unsided)
+	defer e.release(w, &stats.StepsOut, &stats.StepsIn)
+	rng := w.RNG
+	w.Each(func(id walkstore.SegmentID, path []graph.NodeID, group []walkstore.PosHit) {
 		reroute := -1
 		for _, h := range group {
 			// Only non-terminal visits take an outgoing step that the new
@@ -391,13 +309,9 @@ func (e *Engine) applyOne(ed graph.Edge, d int, rng *rand.Rand, st *updState, st
 				reroute = len(path) - 1
 			}
 		}
-		if reroute < 0 {
-			continue
+		if reroute >= 0 {
+			e.k.Stage(w, id, reroute+1, v, walkstore.Unsided)
+			stats.Rerouted++
 		}
-		start := len(st.tailBuf)
-		st.tailBuf = append(st.tailBuf, v)
-		st.tailBuf = walk.AppendContinue(e.g, v, e.cfg.Eps, rng, st.tailBuf)
-		st.muts = append(st.muts, pendingMut{id: id, keep: reroute + 1, start: start, end: len(st.tailBuf)})
-		stats.Rerouted++
-	}
+	})
 }

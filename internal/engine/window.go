@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"fastppr/internal/graph"
+	"fastppr/internal/repair"
 	"fastppr/internal/walk"
 	"fastppr/internal/walkstore"
 )
@@ -77,9 +78,8 @@ func (e *Engine) ApplyDeletions(edges []graph.Edge, seed uint64) DeleteStats {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewPCG(seed, uint64(worker)))
+			w := repair.NewWorker(rand.New(rand.NewPCG(seed, uint64(worker))), nb)
 			var local DeleteStats
-			var st updState
 			for {
 				i := int(cursor.Add(1)) - 1
 				if i >= len(edges) {
@@ -92,7 +92,7 @@ func (e *Engine) ApplyDeletions(edges []graph.Edge, seed uint64) DeleteStats {
 					continue
 				}
 				local.Edges++
-				e.deleteOne(ed, left+1, d, nb, rng, &st, &local)
+				e.deleteOne(ed, left+1, d, w, &local)
 			}
 			statsMu.Lock()
 			stats.add(local)
@@ -114,56 +114,29 @@ func (e *Engine) ApplyDeletions(edges []graph.Edge, seed uint64) DeleteStats {
 // surviving multi-edge copy) are skipped, their stored steps being legal.
 // The graph is static here, so fresh tails cannot strand new steps.
 func (e *Engine) sweepStragglers(suspects []graph.Edge, seed uint64, stats *DeleteStats) {
-	rng := rand.New(rand.NewPCG(seed, uint64(e.cfg.Workers)))
-	var st updState
+	w := repair.NewWorker(rand.New(rand.NewPCG(seed, uint64(e.cfg.Workers))), e.g)
 	stats.Suspects += len(suspects)
 	for _, ed := range suspects {
 		if e.g.HasEdge(ed.From, ed.To) {
 			continue
 		}
 		stats.Swept++
-		e.deleteOne(ed, 1, e.g.OutDegree(ed.From), e.g, rng, &st, stats)
+		e.deleteOne(ed, 1, e.g.OutDegree(ed.From), w, stats)
 	}
 }
 
 // deleteOne repairs the stored segments affected by one removed edge; the
 // caller has already removed it from the graph (so fresh tails sample the
 // post-removal graph) and passes its pre-removal multiplicity c and u's
-// surviving out-degree d. Every sample goes through nb. Same
-// probe/freeze/re-read scheme as applyOne.
-func (e *Engine) deleteOne(ed graph.Edge, c, d int, nb walk.Neighborer, rng *rand.Rand, st *updState, stats *DeleteStats) {
+// surviving out-degree d. Every sample, the re-step included, goes through
+// w.NB: the engine holds no source stripe. Same kernel freeze as applyOne.
+func (e *Engine) deleteOne(ed graph.Edge, c, d int, w *repair.Worker, stats *DeleteStats) {
 	u, v := ed.From, ed.To
 	inv := 1.0 / float64(c)
-	st.hits = e.store.AppendPendingPositions(st.hits[:0], u, walkstore.Unsided)
-	if len(st.hits) == 0 {
-		return
-	}
-	st.segs = walkstore.DistinctSegments(st.segs, st.hits)
-	st.keys = st.keys[:0]
-	for _, id := range st.segs {
-		st.keys = append(st.keys, uint64(id))
-	}
-	st.idx = e.segMu.LockKeys(st.keys, st.idx)
-	defer e.segMu.UnlockSet(st.idx)
-	defer e.flushMuts(st, &stats.StepsOut, &stats.StepsIn)
-	if e.cfg.Workers > 1 {
-		st.hits = e.store.AppendPendingPositions(st.hits[:0], u, walkstore.Unsided)
-		st.hits = walkstore.KeepSegments(st.hits, st.segs)
-	}
-	st.paths = e.store.AppendPaths(st.paths, st.segs)
-	g := 0
-	for i := 0; i < len(st.hits); {
-		id := st.hits[i].Seg
-		j := i
-		for j < len(st.hits) && st.hits[j].Seg == id {
-			j++
-		}
-		group := st.hits[i:j]
-		i = j
-		for st.segs[g] != id {
-			g++
-		}
-		path := st.paths[g]
+	e.k.Freeze(w, u, walkstore.Unsided)
+	defer e.release(w, &stats.StepsOut, &stats.StepsIn)
+	rng := w.RNG
+	w.Each(func(id walkstore.SegmentID, path []graph.NodeID, group []walkstore.PosHit) {
 		capture := -1
 		for _, h := range group {
 			// Candidates are the stored non-terminal steps through the
@@ -178,24 +151,18 @@ func (e *Engine) deleteOne(ed graph.Edge, c, d int, nb walk.Neighborer, rng *ran
 			}
 		}
 		if capture < 0 {
-			continue
+			return
 		}
-		resampled := false
 		if d > 0 {
-			if to, ok := nb.RandomOutNeighbor(u, rng); ok {
-				start := len(st.tailBuf)
-				st.tailBuf = append(st.tailBuf, to)
-				st.tailBuf = walk.AppendContinue(nb, to, e.cfg.Eps, rng, st.tailBuf)
-				st.muts = append(st.muts, pendingMut{id: id, keep: capture + 1, start: start, end: len(st.tailBuf)})
+			if to, ok := w.NB.RandomOutNeighbor(u, rng); ok {
+				e.k.Stage(w, id, capture+1, to, walkstore.Unsided)
 				stats.Rerouted++
-				resampled = true
+				return
 			}
 		}
-		if !resampled {
-			st.muts = append(st.muts, pendingMut{id: id, keep: capture + 1})
-			stats.Truncated++
-		}
-	}
+		w.Cut(id, capture+1)
+		stats.Truncated++
+	})
 }
 
 // WindowStats aggregates one ApplyWindow run.
@@ -224,14 +191,13 @@ func (s WindowStats) Turnover() float64 {
 // per seed.
 func (e *Engine) ApplyWindow(stream []graph.Edge, capacity int, seed uint64) WindowStats {
 	win := graph.NewWindow(capacity)
-	rng := rand.New(rand.NewPCG(seed, 0))
-	var st updState
+	w := repair.NewWorker(rand.New(rand.NewPCG(seed, 0)), e.g)
 	var stats WindowStats
 	for _, ed := range stream {
 		d, _ := e.g.AddEdge(ed.From, ed.To)
 		stats.Arrived++
 		stats.Arrival.Edges++
-		e.applyOne(ed, d, rng, &st, &stats.Arrival)
+		e.applyOne(ed, d, w, &stats.Arrival)
 		if old, ok := win.Push(ed); ok {
 			d, _, left, ok := e.g.RemoveEdge(old.From, old.To)
 			if !ok {
@@ -240,7 +206,7 @@ func (e *Engine) ApplyWindow(stream []graph.Edge, capacity int, seed uint64) Win
 			}
 			stats.Expired++
 			stats.Delete.Edges++
-			e.deleteOne(old, left+1, d, e.g, rng, &st, &stats.Delete)
+			e.deleteOne(old, left+1, d, w, &stats.Delete)
 		}
 		if e.cfg.CompactEvery > 0 && stats.Arrived%e.cfg.CompactEvery == 0 {
 			e.store.MaybeCompact()

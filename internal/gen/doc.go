@@ -7,8 +7,8 @@
 //
 // The paper's analysis needs only the random-permutation arrival model (m
 // adversarially chosen edges arriving in random order) and, for the
-// personalized results, power-law score vectors. Preferential-attachment and
-// Chung–Lu graphs replayed in random order satisfy both, so every code path
+// personalized results, power-law score vectors. Preferential-attachment
+// graphs replayed in random order satisfy both, so every code path
 // the Twitter experiments exercised is exercised here;
 // docs/DESIGN.md#5-workload-substitution-no-twitter-data records the
 // substitution.

@@ -52,33 +52,6 @@ func PreferentialAttachment(n, outPerNode int, rng *rand.Rand) *graph.Graph {
 	return g
 }
 
-// ChungLu builds a directed graph whose expected in-degrees follow a
-// power-law with the given exponent (rank–size exponent alpha in (0,1), the
-// paper's parameterization where the j-th largest value is ∝ j^-alpha).
-// Every node issues approximately avgOut out-edges with targets drawn from a
-// Zipf(alpha) distribution over nodes.
-func ChungLu(n, avgOut int, alpha float64, rng *rand.Rand) *graph.Graph {
-	if n <= 0 {
-		panic("gen: n must be positive")
-	}
-	z := NewZipf(n, alpha)
-	g := graph.New(n)
-	for i := 0; i < n; i++ {
-		g.AddNode(graph.NodeID(i))
-	}
-	for i := 0; i < n; i++ {
-		u := graph.NodeID(i)
-		for e := 0; e < avgOut; e++ {
-			t := graph.NodeID(z.Sample(rng))
-			if t == u {
-				continue
-			}
-			g.AddEdge(u, t)
-		}
-	}
-	return g
-}
-
 // Zipf samples ranks 0..n-1 with probability proportional to (rank+1)^-alpha
 // by inverting the (integrated) CDF; alpha may be any value in (0, 1).
 // math/rand's Zipf requires s > 1, hence this bespoke sampler.

@@ -19,7 +19,7 @@
 // walkers whose current nodes land on different shards never contend, and a
 // Batcher amortizes even the uncontended lock acquisition over a whole
 // burst of lockstep walkers. Operations that need a consistent global view (Edges,
-// Clone, Validate, RandomEdge) lock every shard in index order. The shard
+// Clone, Validate) lock every shard in index order. The shard
 // locks are the leaf level of the system-wide lock order
 // (docs/DESIGN.md#6-concurrency-model); the graph's place in the data flow
 // is docs/DESIGN.md#1-data-flow.

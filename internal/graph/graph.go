@@ -584,41 +584,6 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
-// RandomEdge returns a uniformly random edge (by multiplicity). ok is false
-// on an empty graph. Sampling is proportional to out-degree: pick a node by
-// linear scan over cumulative degree. O(n); intended for experiment setup,
-// not hot paths.
-func (g *Graph) RandomEdge(rng *rand.Rand) (e Edge, ok bool) {
-	g.rlockAll()
-	defer g.runlockAll()
-	total := int(g.edges.Load())
-	if total == 0 {
-		return Edge{}, false
-	}
-	k := rng.IntN(total)
-	found := false
-	for i := range g.shards {
-		if found {
-			break
-		}
-		g.shards[i].each(i, g.slotBits, func(u NodeID, r *adjRow) {
-			if found {
-				return
-			}
-			if k < len(r.out) {
-				e = Edge{u, r.out[k]}
-				found = true
-				return
-			}
-			k -= len(r.out)
-		})
-	}
-	if !found {
-		panic("graph: edge count out of sync")
-	}
-	return e, true
-}
-
 // Validate checks internal invariants (forward/backward adjacency agreement,
 // shard/slot placement, and the edge counters). Intended for tests and
 // debugging; one pass over every row, counting edges in a map: O(n + m)

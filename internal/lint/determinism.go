@@ -10,7 +10,7 @@ import (
 // in the tree is proven equivalent to its oracle on fixed seeds, which only
 // means anything if no wall-clock, global-RNG, or map-iteration
 // nondeterminism can leak into the replayed sequences. In the deterministic
-// packages (engine, pagerank, salsa, walkstore, gen) it forbids:
+// packages (engine, pagerank, salsa, repair, walkstore, gen) it forbids:
 //
 //   - time.Now / time.Since — wall-clock reads;
 //   - the global math/rand and math/rand/v2 convenience functions (Intn,
@@ -36,6 +36,7 @@ var Determinism = &Analyzer{
 var deterministicPkgs = map[string]bool{
 	"engine":    true,
 	"pagerank":  true,
+	"repair":    true,
 	"salsa":     true,
 	"walkstore": true,
 	"gen":       true,

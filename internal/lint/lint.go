@@ -77,16 +77,6 @@ func All() []*Analyzer {
 	}
 }
 
-// ByName resolves one analyzer, or nil.
-func ByName(name string) *Analyzer {
-	for _, a := range All() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}
-
 // RunPackage runs the analyzers over one type-checked package, applies the
 // //lint:allow annotation filter, and returns the surviving diagnostics
 // sorted by position. Malformed allow annotations are themselves

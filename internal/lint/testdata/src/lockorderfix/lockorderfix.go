@@ -20,6 +20,13 @@ type Store struct {
 	segMu sync.RWMutex // level 3
 }
 
+// kernel mirrors the repair kernel: its SegmentID stripes are a *MutexSet
+// field named segMu, which must rank at level 2 — below the endpoint
+// stripes, above the store's RWMutex of the same field name.
+type kernel struct {
+	segMu *stripes.MutexSet // level 2
+}
+
 type counterStripe struct {
 	mu sync.Mutex // level 4
 }
@@ -114,6 +121,36 @@ func upwardStripe(m *maintainer, st *Store, i int) {
 	m.srcMu.Lock(i) // want "acquisitions go downward only"
 	m.srcMu.Unlock(i)
 	st.segMu.Unlock()
+}
+
+func kernelFreezeClean(m *maintainer, k *kernel, st *Store, keys []uint64, buf []int, i int) {
+	m.srcMu.Lock(i)
+	buf = k.segMu.LockKeys(keys, buf)
+	st.segMu.Lock()
+	st.segMu.Unlock()
+	k.segMu.UnlockSet(buf)
+	m.srcMu.Unlock(i)
+}
+
+func kernelUnderStore(k *kernel, st *Store, keys []uint64, buf []int) {
+	st.segMu.Lock()
+	buf = k.segMu.LockKeys(keys, buf) // want "acquisitions go downward only"
+	k.segMu.UnlockSet(buf)
+	st.segMu.Unlock()
+}
+
+func kernelOverEndpoint(m *maintainer, k *kernel, keys []uint64, buf []int, i int) {
+	buf = k.segMu.LockKeys(keys, buf)
+	m.endMu.Lock(i) // want "acquisitions go downward only"
+	m.endMu.Unlock(i)
+	k.segMu.UnlockSet(buf)
+}
+
+func kernelBesideSegs(m *maintainer, k *kernel, keys []uint64, buf []int, i int) {
+	buf = k.segMu.LockKeys(keys, buf)
+	m.segs.Lock(i) // want "within-level multi-lock must go through an ordered primitive"
+	m.segs.Unlock(i)
+	k.segMu.UnlockSet(buf)
 }
 
 func sameLevelCrossSet(m *maintainer, i, j int) {

@@ -146,30 +146,3 @@ func TestCompactRacesEstimatesAndStorm(t *testing.T) {
 		t.Fatalf("compacting storm recorded %d no-op slow paths", c.SlowNoops)
 	}
 }
-
-// TestUpdaterScratchReleased pins the end-of-phase contract of the updater's
-// scratch: frozen paths alias the walk store's arena and staged tails alias
-// the updater's tail buffer, so once a phase has flushed neither may survive
-// anywhere in the scratch slices' capacity — a hub-sized freeze followed by
-// shorter ones used to leave its tail entries pinning an arena that Compact
-// had already replaced.
-func TestUpdaterScratchReleased(t *testing.T) {
-	const n = 60
-	mt, _ := newMaintainer(n, Config{Eps: 0.2, R: 8, Workers: 1, Seed: 321, CompactEvery: 3})
-	mt.Bootstrap()
-	mt.ApplyEvents(gen.PowerLawChurnStream(n, 120, 0.9, 0.35, rand.New(rand.NewPCG(322, 0))))
-	w := mt.serial
-	if cap(w.paths) == 0 || cap(w.tms) == 0 {
-		t.Fatalf("storm never used the scratch: cap(paths)=%d cap(tms)=%d", cap(w.paths), cap(w.tms))
-	}
-	for i, p := range w.paths[:cap(w.paths)] {
-		if p != nil {
-			t.Fatalf("paths[%d] of %d still holds a %d-node arena path after the phase ended", i, cap(w.paths), len(p))
-		}
-	}
-	for i, tm := range w.tms[:cap(w.tms)] {
-		if tm.NewTail != nil {
-			t.Fatalf("tms[%d] of %d still holds a staged tail after the flush", i, cap(w.tms))
-		}
-	}
-}

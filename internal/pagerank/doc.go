@@ -26,9 +26,13 @@
 // store's pending-position index — the exact (segment, position) pairs of
 // stored visits at the source, in ascending order — so a slow path costs
 // O(hits) rather than O(visitors × path length)
-// (docs/DESIGN.md#7-the-pending-position-index). The tests hold every
-// phase bitwise to a reference that scans full paths and applies each
-// mutation at once (ref_test.go).
+// (docs/DESIGN.md#7-the-pending-position-index). The repair itself — skip
+// coin, freeze, scans, tail staging and the phase flush — is internal/repair's
+// kernel, shared with the SALSA maintainer; this package sequences one
+// unsided phase per event (repair.Kernel.Arrive, repair.Kernel.Unroute) and
+// keeps the source stripes, the straggler sweep, node seeding, RNG capture
+// and the estimates. The tests hold every phase bitwise to a reference that
+// scans full paths and applies each mutation at once (ref_test.go).
 //
 // Updates run serialized by default (bitwise reproducible per seed) or
 // concurrently with Config.UpdateWorkers > 1: arrivals are serialized per
@@ -67,7 +71,8 @@
 // Index writes are phase-batched (docs/DESIGN.md#11-batching--compaction):
 // reroute and revival tails are sampled inline — preserving the bitwise
 // coin sequence — and their mutations flushed through one
-// walkstore.ReplaceTailBatch per repair phase, with the parallel path
+// walkstore.ReplaceTailBatch per repair phase (repair.Kernel.Release), with
+// the parallel path
 // pre-grouping arrivals by source stripe. Config.CompactEvery checks the
 // arena between batches and compacts when at least a quarter of it is
 // garbage (walkstore.Store.MaybeCompact), proven bitwise invisible by the

@@ -1,15 +1,14 @@
 package pagerank
 
 import (
-	"math"
 	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 
 	"fastppr/internal/engine"
 	"fastppr/internal/graph"
+	"fastppr/internal/repair"
 	"fastppr/internal/socialstore"
-	"fastppr/internal/stats"
 	"fastppr/internal/stripes"
 	"fastppr/internal/topk"
 	"fastppr/internal/walk"
@@ -84,32 +83,30 @@ func (c Counters) SkipRate() float64 {
 	return float64(c.FastSkips) / float64(c.Arrivals)
 }
 
-// counters is the maintainer's live accounting: atomics, so serialized and
-// parallel update paths share one implementation.
+// counters is the maintainer's live accounting beside the kernel's phase
+// counts: atomics, so serialized and parallel update paths share one
+// implementation.
 type counters struct {
-	arrivals, fastSkips, emptySkips, slowPaths      atomic.Int64
-	rerouted, revived, seeded, stepsIn, stepsOut    atomic.Int64
-	estimates                                       atomic.Int64
-	deletions, delMisses, delRerouted, delTruncated atomic.Int64
-	suspects, swept                                 atomic.Int64
+	arrivals, seeded, estimates           atomic.Int64
+	deletions, delMisses, suspects, swept atomic.Int64
 }
 
-func (c *counters) snapshot() Counters {
+func (c *counters) snapshot(k *repair.Counters) Counters {
 	return Counters{
 		Arrivals:     c.arrivals.Load(),
-		FastSkips:    c.fastSkips.Load(),
-		EmptySkips:   c.emptySkips.Load(),
-		SlowPaths:    c.slowPaths.Load(),
-		Rerouted:     c.rerouted.Load(),
-		Revived:      c.revived.Load(),
+		FastSkips:    k.FastSkips.Load(),
+		EmptySkips:   k.EmptySkips.Load(),
+		SlowPaths:    k.SlowPaths.Load(),
+		Rerouted:     k.Rerouted.Load(),
+		Revived:      k.Revived.Load(),
 		Seeded:       c.seeded.Load(),
-		StepsIn:      c.stepsIn.Load(),
-		StepsOut:     c.stepsOut.Load(),
+		StepsIn:      k.StepsIn.Load(),
+		StepsOut:     k.StepsOut.Load(),
 		Estimates:    c.estimates.Load(),
 		Deletions:    c.deletions.Load(),
 		DelMisses:    c.delMisses.Load(),
-		DelRerouted:  c.delRerouted.Load(),
-		DelTruncated: c.delTruncated.Load(),
+		DelRerouted:  k.DelRerouted.Load(),
+		DelTruncated: k.DelTruncated.Load(),
 		Suspects:     c.suspects.Load(),
 		Swept:        c.swept.Load(),
 	}
@@ -124,57 +121,10 @@ const (
 	// the source is therefore ordered with every deletion of that step's
 	// edge, which is why it need not be watched by the straggler sweep.
 	sourceStripes = 256
-	// segmentStripes freezes the segments a repair scans, so the scan's
-	// candidate enumeration cannot shift underneath the pre-sampled
-	// first-switch index.
-	segmentStripes = 512
+	// updateStream is the PCG stream of the serialized update RNG; the
+	// kernel's pool worker wk draws from stream updateStream<<16 + wk.
+	updateStream = 0x9a6e
 )
-
-// updater is one update goroutine's private state: its RNG and reusable
-// buffers. The serialized path owns one; each parallel worker gets its own.
-type updater struct {
-	rng *rand.Rand
-	// nb samples regrown tails and seeded walks: the social store, or during
-	// a parallel deletion batch a walk.Recorder over it that notes every step
-	// on one of the batch's deleted edges for the straggler sweep.
-	nb    walk.Neighborer
-	keys  []uint64
-	idx   []int
-	hits  []walkstore.PosHit
-	segs  []walkstore.SegmentID
-	paths [][]graph.NodeID
-
-	// Deferred-write state: redirect samples fresh tails into tailBuf and
-	// records a pendingMut per mutation; flushMuts applies the whole
-	// phase's mutations through one stripe-grouped ReplaceTailBatch pass.
-	tailBuf []graph.NodeID
-	muts    []pendingMut
-	tms     []walkstore.TailMutation
-}
-
-func newUpdater(rng *rand.Rand, nb walk.Neighborer) *updater { return &updater{rng: rng, nb: nb} }
-
-// pendingMut is one deferred ReplaceTail: the repair phase samples the fresh
-// tail inline (preserving the exact RNG consumption order) into w.tailBuf and
-// defers the store write until the phase's flush. start == end records a pure
-// truncation (deletion-path revival in reverse).
-type pendingMut struct {
-	id         walkstore.SegmentID
-	keep       int
-	start, end int // w.tailBuf[start:end] is the fresh tail
-}
-
-// lockSegments freezes the given segments under the maintainer's
-// SegmentID-stripe locks, acquiring stripe indices in ascending order
-// (deadlock-free across workers). Returns the held index set for unlock.
-func (w *updater) lockSegments(set *stripes.MutexSet, ids []walkstore.SegmentID) []int {
-	w.keys = w.keys[:0]
-	for _, id := range ids {
-		w.keys = append(w.keys, uint64(id))
-	}
-	w.idx = set.LockKeys(w.keys, w.idx)
-	return w.idx
-}
 
 // Maintainer serves PageRank estimates over a dynamic graph. Estimates may
 // be read concurrently with updates; updates run serialized by default and
@@ -183,21 +133,18 @@ type Maintainer struct {
 	soc   *socialstore.Store
 	walks *walkstore.Store
 	eng   *engine.Engine
+	k     *repair.Kernel
 	cfg   Config
 
-	mu        sync.Mutex // serializes ApplyEdge and the serialized ApplyEdges path
-	serial    *updater   // guarded by mu
-	serialPCG *rand.PCG  // source behind serial's RNG, retained for state capture
+	mu        sync.Mutex     // serializes ApplyEdge and the serialized ApplyEdges path
+	serial    *repair.Worker // guarded by mu
+	serialPCG *rand.PCG      // source behind serial's RNG, retained for state capture
 
 	knownMu sync.Mutex
 	known   map[graph.NodeID]bool // nodes owning R segments
 
 	srcMu *stripes.MutexSet
-	segMu *stripes.MutexSet
 	cnt   counters
-
-	// compactTick counts completed mutations toward Config.CompactEvery.
-	compactTick atomic.Int64
 }
 
 // New returns a maintainer over the social store's graph with an empty walk
@@ -218,17 +165,20 @@ func NewWithStore(soc *socialstore.Store, cfg Config, walks *walkstore.Store) *M
 	eng := engine.New(soc.Graph(), walks, engine.Config{
 		Eps: cfg.Eps, R: cfg.R, Workers: cfg.Workers, Seed: cfg.Seed,
 	})
-	pcg := rand.NewPCG(cfg.Seed, 0x9a6e)
+	pcg := rand.NewPCG(cfg.Seed, updateStream)
 	return &Maintainer{
-		soc:       soc,
-		walks:     walks,
-		eng:       eng,
+		soc:   soc,
+		walks: walks,
+		eng:   eng,
+		k: repair.New(walks, soc, repair.Config{
+			Eps: cfg.Eps, Tail: repair.ResetTail, Workers: cfg.UpdateWorkers,
+			Seed: cfg.Seed, Stream: updateStream, CompactEvery: cfg.CompactEvery,
+		}),
 		cfg:       cfg,
-		serial:    newUpdater(rand.New(pcg), soc),
+		serial:    repair.NewWorker(rand.New(pcg), soc),
 		serialPCG: pcg,
 		known:     make(map[graph.NodeID]bool),
 		srcMu:     stripes.NewMutexSet(sourceStripes),
-		segMu:     stripes.NewMutexSet(segmentStripes),
 	}
 }
 
@@ -312,7 +262,13 @@ func (m *Maintainer) ApplyEdge(ed graph.Edge) {
 // reproducible in distribution rather than per seed.
 func (m *Maintainer) ApplyEdges(edges []graph.Edge) {
 	if m.cfg.UpdateWorkers > 1 {
-		m.applyParallel(edges, m.cfg.UpdateWorkers)
+		// Pre-group the storm by source stripe: consecutive claims then hit
+		// the same counter stripe and source lock, so each worker's cache
+		// lines stay warm. Same-stripe arrivals keep their relative stream
+		// order (the grouping is a stable permutation); cross-stripe order
+		// was never guaranteed on the parallel path.
+		order := walkstore.GroupByStripe(len(edges), func(i int) graph.NodeID { return edges[i].From })
+		m.k.Pool(len(edges), order, nil, func(i int, w *repair.Worker) { m.applyOne(edges[i], w) })
 		return
 	}
 	m.mu.Lock()
@@ -322,33 +278,12 @@ func (m *Maintainer) ApplyEdges(edges []graph.Edge) {
 	}
 }
 
-func (m *Maintainer) applyParallel(edges []graph.Edge, workers int) {
-	// Pre-group the storm by source stripe: consecutive claims then hit the
-	// same counter stripe and source lock, so each worker's cache lines
-	// stay warm. Same-stripe arrivals keep their relative stream order (the
-	// grouping is a stable permutation); cross-stripe order was never
-	// guaranteed on the parallel path.
-	order := walkstore.GroupByStripe(len(edges), func(i int) graph.NodeID { return edges[i].From })
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func(wk int) {
-			defer wg.Done()
-			w := newUpdater(rand.New(rand.NewPCG(m.cfg.Seed, 0x9a6e0000+uint64(wk))), m.soc)
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(edges) {
-					break
-				}
-				m.applyOne(edges[order[i]], w)
-			}
-		}(wk)
-	}
-	wg.Wait()
-}
-
-func (m *Maintainer) applyOne(ed graph.Edge, w *updater) {
+// applyOne is one arrival: one unsided repair phase at the source. With
+// u's new out-degree d from the write's reply, each stored step out of u
+// switches to the new edge with probability 1/d — or, when d == 1, each walk
+// that died at the formerly dangling u continues with probability 1-eps
+// (repair.Kernel.Arrive).
+func (m *Maintainer) applyOne(ed graph.Edge, w *repair.Worker) {
 	m.cnt.arrivals.Add(1)
 	u, v := ed.From, ed.To
 	lk := m.srcMu.Of(uint64(u))
@@ -357,276 +292,19 @@ func (m *Maintainer) applyOne(ed graph.Edge, w *updater) {
 	// Repair walks sampled before this edge existed, then seed new
 	// endpoints: freshly seeded walks already sample the new edge, so
 	// rerouting them too would over-weight it.
-	if d == 1 {
-		m.revive(u, v, w)
-	} else {
-		m.reroute(u, v, d, w)
-	}
+	w.Reset()
+	m.k.Arrive(w, u, v, walkstore.Unsided, d, m.cfg.Eps)
 	lk.Unlock()
 	m.ensureNode(u, w)
 	m.ensureNode(v, w)
-	m.maybeCompact()
-}
-
-// reroute repairs stored walks after u's out-degree rose to d >= 2: every
-// stored outgoing step from u independently switches to the new edge with
-// probability 1/d, and a switched segment keeps its prefix, steps to v, and
-// continues with a fresh geometric tail.
-//
-// The skip coin flips against the stripe-consistent candidate counter; on
-// heads the first-switch index is pre-sampled (truncated geometric) and the
-// affected segments are frozen under SegmentID stripe locks before the scan.
-// Serialized, counter and frozen scan agree exactly. Under parallel
-// arrivals, a cross-stripe reroute can shift the candidate count between the
-// counter read and the freeze; the scan then retries against the frozen
-// enumeration, so a non-skipped arrival still always performs work
-// (SlowNoops == 0) and an emptied candidate set downgrades to EmptySkips.
-func (m *Maintainer) reroute(u, v graph.NodeID, d int, w *updater) {
-	k := m.walks.Candidates(u)
-	// <= 0: under parallel arrivals a cross-stripe mutation mid-index can
-	// transiently read the counter pair as negative; classify as empty.
-	if k <= 0 {
-		m.cnt.emptySkips.Add(1)
-		return
-	}
-	inv := 1.0 / float64(d)
-	if w.rng.Float64() < math.Pow(1-inv, float64(k)) {
-		m.cnt.fastSkips.Add(1)
-		return
-	}
-	// first is the global index (over the fixed enumeration of all k
-	// candidate steps) of the first switch, pre-sampled now that the skip
-	// coin came up heads.
-	first := stats.TruncatedGeometric(w.rng, inv, k)
-	hits, held := m.freeze(u, w)
-	defer m.segMu.UnlockSet(held)
-	defer m.flushMuts(w)
-	for {
-		rerouted, seen := m.rerouteScanIndexed(hits, v, inv, first, w)
-		switch {
-		case rerouted > 0:
-			m.cnt.slowPaths.Add(1)
-			m.cnt.rerouted.Add(rerouted)
-			return
-		case seen == 0:
-			m.cnt.emptySkips.Add(1)
-			return
-		}
-		first = stats.TruncatedGeometric(w.rng, inv, seen)
-	}
-}
-
-// freeze prepares one repair phase's enumeration over u's stored visits: it
-// probes the pending-position index, locks the involved segments under the
-// SegmentID stripes, and — on the parallel path — re-reads the index under
-// those locks so every hit position is exact, dropping hits of segments
-// another worker rerouted into u after the probe (they are simply not part
-// of this arrival's frozen enumeration).
-func (m *Maintainer) freeze(u graph.NodeID, w *updater) (hits []walkstore.PosHit, held []int) {
-	w.hits = m.walks.AppendPendingPositions(w.hits[:0], u, walkstore.Unsided)
-	w.segs = walkstore.DistinctSegments(w.segs, w.hits)
-	held = w.lockSegments(m.segMu, w.segs)
-	if m.cfg.UpdateWorkers > 1 {
-		// Another worker may have mutated a probed segment between the probe
-		// and the freeze; re-read now that the segments cannot move.
-		w.hits = m.walks.AppendPendingPositions(w.hits[:0], u, walkstore.Unsided)
-		w.hits = walkstore.KeepSegments(w.hits, w.segs)
-	}
-	// Bulk-fetch the frozen segments' paths under one segment-lock
-	// acquisition; the scans walk them via a cursor over w.segs.
-	w.paths = m.walks.AppendPaths(w.paths, w.segs)
-	return w.hits, held
-}
-
-// groupPath returns the frozen path of segment id, advancing the scan's
-// cursor over the (sorted) frozen segment set. Hit groups arrive in
-// ascending segment order, so the cursor only ever moves forward.
-func groupPath(w *updater, g *int, id walkstore.SegmentID) []graph.NodeID {
-	for w.segs[*g] != id {
-		*g++
-	}
-	return w.paths[*g]
-}
-
-// rerouteScanIndexed runs one coin-flip pass over the frozen pending-position
-// hits of the arrival's source. Hits arrive sorted by (segment, position),
-// the enumeration the pre-sampled first-switch index is drawn over. Only the
-// non-terminal hits are candidates; a segment's hits after its own reroute
-// this pass are superseded but keep their enumeration slots.
-func (m *Maintainer) rerouteScanIndexed(hits []walkstore.PosHit, v graph.NodeID, inv float64, first int64, w *updater) (rerouted, seen int64) {
-	idx := int64(0)
-	g := 0
-	for i := 0; i < len(hits); {
-		id := hits[i].Seg
-		j := i
-		for j < len(hits) && hits[j].Seg == id {
-			j++
-		}
-		p := groupPath(w, &g, id) // stable: ReplaceTail relocates, never mutates
-		pos := -1
-		for _, h := range hits[i:j] {
-			hp := int(h.Pos)
-			if hp >= len(p)-1 {
-				continue // terminal visit: no outgoing step to capture
-			}
-			if pos >= 0 {
-				idx++ // superseded by this segment's reroute; slot still counts
-				continue
-			}
-			if stats.FirstSuccessHit(w.rng, first, idx, inv) {
-				pos = hp
-			}
-			idx++
-		}
-		i = j
-		if pos < 0 {
-			continue
-		}
-		m.redirect(id, pos+1, v, w)
-		rerouted++
-	}
-	return rerouted, idx
-}
-
-// revive repairs stored walks after u gained its very first out-edge. While
-// u was dangling every walk reaching it died there, so all stored visits to
-// u are terminal; each such walk now continues with probability 1-eps,
-// necessarily through the new (only) edge. Same freeze-and-retry scheme as
-// reroute.
-func (m *Maintainer) revive(u, v graph.NodeID, w *updater) {
-	t := m.walks.Terminals(u)
-	if t <= 0 {
-		m.cnt.emptySkips.Add(1)
-		return
-	}
-	eps := m.cfg.Eps
-	if w.rng.Float64() < math.Pow(eps, float64(t)) {
-		m.cnt.fastSkips.Add(1)
-		return
-	}
-	first := stats.TruncatedGeometric(w.rng, 1-eps, t)
-	hits, held := m.freeze(u, w)
-	defer m.segMu.UnlockSet(held)
-	defer m.flushMuts(w)
-	for {
-		revived, seen := m.reviveScanIndexed(hits, v, eps, first, w)
-		switch {
-		case revived > 0:
-			m.cnt.slowPaths.Add(1)
-			m.cnt.revived.Add(revived)
-			return
-		case seen == 0:
-			m.cnt.emptySkips.Add(1)
-			return
-		}
-		first = stats.TruncatedGeometric(w.rng, 1-eps, seen)
-	}
-}
-
-// reviveScanIndexed runs one continuation pass over the frozen
-// pending-position hits of the arrival's source: the terminal hit of each
-// segment (position == last path index) is the revival candidate,
-// enumerated in ascending segment order.
-func (m *Maintainer) reviveScanIndexed(hits []walkstore.PosHit, v graph.NodeID, eps float64, first int64, w *updater) (revived, seen int64) {
-	idx := int64(0)
-	g := 0
-	for i := 0; i < len(hits); {
-		id := hits[i].Seg
-		j := i
-		for j < len(hits) && hits[j].Seg == id {
-			j++
-		}
-		p := groupPath(w, &g, id)
-		for _, h := range hits[i:j] {
-			if int(h.Pos) != len(p)-1 {
-				continue // not a terminal visit; impossible while u was dangling
-			}
-			cont := stats.FirstSuccessHit(w.rng, first, idx, 1-eps)
-			idx++
-			if cont {
-				m.redirect(id, len(p), v, w)
-				revived++
-			}
-			break // at most one terminal hit per segment
-		}
-		i = j
-	}
-	return revived, idx
-}
-
-// redirect truncates segment id to keep nodes, steps it to v, and extends it
-// with a fresh geometric tail sampled through the social store. Callers hold
-// the segment's stripe lock. The tail is sampled here, inline, so the RNG
-// draws in candidate order; only the store write waits for the phase's
-// flushMuts.
-func (m *Maintainer) redirect(id walkstore.SegmentID, keep int, v graph.NodeID, w *updater) {
-	start := len(w.tailBuf)
-	w.tailBuf = append(w.tailBuf, v)
-	w.tailBuf = walk.AppendContinue(w.nb, v, m.cfg.Eps, w.rng, w.tailBuf)
-	w.muts = append(w.muts, pendingMut{id: id, keep: keep, start: start, end: len(w.tailBuf)})
-}
-
-// truncate cuts segment id down to keep nodes with no replacement tail (the
-// deletion path's reverse revival), deferred alongside the phase's redirects.
-func (m *Maintainer) truncate(id walkstore.SegmentID, keep int, w *updater) {
-	w.muts = append(w.muts, pendingMut{id: id, keep: keep})
-}
-
-// flushMuts applies every tail mutation the current repair phase deferred
-// through one stripe-grouped ReplaceTailBatch pass: one arena relocation
-// critical section and one counter-stripe lock acquisition per touched
-// stripe, instead of one of each per rerouted segment. Phases register it
-// with defer immediately after the UnlockSet defer, so it runs (LIFO) while
-// the segment stripe locks are still held; a phase's writes are therefore
-// fully visible before the source stripe is released.
-func (m *Maintainer) flushMuts(w *updater) {
-	// The phase's scans are over. Its frozen paths alias the arena, so they
-	// are dropped rather than left in scratch capacity, where a later and
-	// shorter freeze would not overwrite them and they would keep an arena
-	// that Compact has since replaced reachable.
-	clear(w.paths)
-	w.paths = w.paths[:0]
-	if len(w.muts) == 0 {
-		return
-	}
-	for _, mu := range w.muts {
-		var tail []graph.NodeID
-		if mu.end > mu.start {
-			tail = w.tailBuf[mu.start:mu.end:mu.end]
-		}
-		w.tms = append(w.tms, walkstore.TailMutation{ID: mu.id, Keep: mu.keep, NewTail: tail})
-	}
-	removed, added := m.walks.ReplaceTailBatch(w.tms)
-	// Likewise the staged tails, which alias a tailBuf that append may by
-	// now have outgrown.
-	clear(w.tms)
-	w.tms = w.tms[:0]
-	m.cnt.stepsOut.Add(int64(removed))
-	m.cnt.stepsIn.Add(int64(added))
-	w.muts = w.muts[:0]
-	w.tailBuf = w.tailBuf[:0]
-}
-
-// maybeCompact checks the arena's garbage ratio every CompactEvery-th
-// completed mutation and compacts when it is worth the copy
-// (Store.MaybeCompact). Compact changes no logical state (no epoch,
-// stripe-epoch, or journal movement), so its placement relative to
-// concurrent estimates is unconstrained; callers just must not hold
-// segment stripe locks across it (they don't — it runs after the repair).
-func (m *Maintainer) maybeCompact() {
-	if m.cfg.CompactEvery <= 0 {
-		return
-	}
-	if m.compactTick.Add(1)%int64(m.cfg.CompactEvery) == 0 {
-		m.walks.MaybeCompact()
-	}
+	m.k.MaybeCompact()
 }
 
 // ensureNode seeds R fresh segments for a node first seen mid-stream,
 // preserving the invariant that every known node owns R walks. The claim is
 // made under knownMu so exactly one arrival seeds a node; the walks
 // themselves are sampled outside the lock.
-func (m *Maintainer) ensureNode(v graph.NodeID, w *updater) {
+func (m *Maintainer) ensureNode(v graph.NodeID, w *repair.Worker) {
 	m.knownMu.Lock()
 	if m.known[v] {
 		m.knownMu.Unlock()
@@ -636,9 +314,9 @@ func (m *Maintainer) ensureNode(v graph.NodeID, w *updater) {
 	m.knownMu.Unlock()
 	paths := make([][]graph.NodeID, m.cfg.R)
 	for i := range paths {
-		seg := walk.PageRank(w.nb, v, m.cfg.Eps, w.rng)
+		seg := walk.PageRank(w.NB, v, m.cfg.Eps, w.RNG)
 		paths[i] = seg.Path
-		m.cnt.stepsIn.Add(int64(len(seg.Path)))
+		m.k.Cnt.StepsIn.Add(int64(len(seg.Path)))
 	}
 	m.walks.AddBatch(paths)
 	m.cnt.seeded.Add(int64(len(paths)))
@@ -688,5 +366,5 @@ func (m *Maintainer) TopK(k int) []topk.Item {
 
 // Counters returns a snapshot of the update-path accounting.
 func (m *Maintainer) Counters() Counters {
-	return m.cnt.snapshot()
+	return m.cnt.snapshot(&m.k.Cnt)
 }

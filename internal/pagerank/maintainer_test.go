@@ -12,7 +12,6 @@ import (
 	"fastppr/internal/socialstore"
 	"fastppr/internal/stats"
 	"fastppr/internal/topk"
-	"fastppr/internal/walkstore"
 )
 
 const oracleTol = 1e-11
@@ -391,58 +390,4 @@ func TestTruncatedGeometricLaw(t *testing.T) {
 			t.Fatalf("P(J=%d)=%v want %v (+-%v)", j, got, want, 5*sigma)
 		}
 	}
-}
-
-// TestScanCountsEveryCandidate pins what the retry loop in reroute relies
-// on: a scan reports every candidate slot as seen, superseded ones included,
-// so a retry redraws the first switch over the enumeration the skip coin's
-// exponent counted. Only parallel runs ever retry, so TestMatchesReference
-// cannot see this count. The self-loop makes walks revisit 0.
-func TestScanCountsEveryCandidate(t *testing.T) {
-	g := graph.New(2)
-	g.AddEdge(0, 0)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 0)
-	mt := New(socialstore.New(g), Config{Eps: 0.1, R: 40, Workers: 1, Seed: 9})
-	mt.Bootstrap()
-	k := mt.Store().Candidates(0)
-	w := mt.serial
-	hits, held := mt.freeze(0, w)
-	first := supersedingFirst(mt.Store(), hits)
-	var seen int64
-	if first >= 0 {
-		_, seen = mt.rerouteScanIndexed(hits, 1, 0.5, first, w)
-	}
-	mt.flushMuts(w)
-	mt.segMu.UnlockSet(held)
-	if first < 0 {
-		t.Fatal("setup: no segment holds two candidates")
-	}
-	if seen != k {
-		t.Fatalf("scan saw %d candidates, the skip coin counted %d", seen, k)
-	}
-}
-
-// supersedingFirst returns the enumeration index of the first candidate hit
-// (a non-terminal one) whose segment holds another candidate, or -1: drawn
-// as the first switch, it supersedes that other candidate.
-func supersedingFirst(s *walkstore.Store, hits []walkstore.PosHit) int64 {
-	isCand := func(h walkstore.PosHit) bool { return int(h.Pos) < len(s.Path(h.Seg))-1 }
-	cands := make(map[walkstore.SegmentID]int)
-	for _, h := range hits {
-		if isCand(h) {
-			cands[h.Seg]++
-		}
-	}
-	idx := int64(0)
-	for _, h := range hits {
-		if !isCand(h) {
-			continue
-		}
-		if cands[h.Seg] >= 2 {
-			return idx
-		}
-		idx++
-	}
-	return -1
 }

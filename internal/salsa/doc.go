@@ -45,9 +45,13 @@
 // the phase's direction at the endpoint, in the canonical ascending order
 // first-switch indices are drawn over), so a slow path costs O(hits)
 // instead of walking every visitor's full path — see
-// docs/DESIGN.md#7-the-pending-position-index. The tests hold every phase
-// bitwise to a reference that scans full paths and applies each mutation at
-// once (ref_test.go).
+// docs/DESIGN.md#7-the-pending-position-index. Both phases are runs of
+// internal/repair's kernel, the same code that repairs PageRank walks: an
+// arrival is repair.Kernel.Arrive on SideForward at the source, then on
+// SideBackward at the target with a zero reset probability, and the
+// kernel's worker carries the forward phase's regrown segments into the
+// backward one. The tests hold every phase bitwise to a reference that
+// scans full paths and applies each mutation at once (ref_test.go).
 //
 // Updates run serialized by default or concurrently with
 // Config.UpdateWorkers > 1: an arrival locks its (source, target) endpoint
@@ -109,7 +113,8 @@
 // Index writes are phase-batched (docs/DESIGN.md#11-batching--compaction):
 // each repair phase samples its tails inline — the coin sequence is
 // bitwise the sequential one — but coalesces the resulting mutations into
-// one walkstore.ReplaceTailBatch per phase, and the parallel path
+// one walkstore.ReplaceTailBatch per phase (repair.Kernel.Release), and the
+// parallel path
 // pre-groups each arrival batch by source stripe. Config.CompactEvery
 // checks the arena between batches and compacts when at least a quarter of
 // it is garbage (walkstore.Store.MaybeCompact), proven bitwise invisible by

@@ -1,15 +1,14 @@
 package salsa
 
 import (
-	"math"
 	"math/rand/v2"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"fastppr/internal/graph"
+	"fastppr/internal/repair"
 	"fastppr/internal/socialstore"
-	"fastppr/internal/stats"
 	"fastppr/internal/stripes"
 	"fastppr/internal/topk"
 	"fastppr/internal/walk"
@@ -104,32 +103,30 @@ func (c Counters) SkipRate() float64 {
 	return float64(c.FastSkips) / float64(2*c.Arrivals)
 }
 
-// counters is the live atomic accounting shared by the serialized and
-// parallel update paths and the concurrent query layer.
+// counters is the live atomic accounting, beside the kernel's phase
+// counts, shared by the serialized and parallel update paths and the
+// concurrent query layer.
 type counters struct {
-	arrivals, fastSkips, emptySkips, slowPaths      atomic.Int64
-	rerouted, revived, seeded, stepsIn, stepsOut    atomic.Int64
-	queries                                         atomic.Int64
-	deletions, delMisses, delRerouted, delTruncated atomic.Int64
-	suspects, swept                                 atomic.Int64
+	arrivals, seeded, queries             atomic.Int64
+	deletions, delMisses, suspects, swept atomic.Int64
 }
 
-func (c *counters) snapshot() Counters {
+func (c *counters) snapshot(k *repair.Counters) Counters {
 	return Counters{
 		Arrivals:     c.arrivals.Load(),
-		FastSkips:    c.fastSkips.Load(),
-		EmptySkips:   c.emptySkips.Load(),
-		SlowPaths:    c.slowPaths.Load(),
-		Rerouted:     c.rerouted.Load(),
-		Revived:      c.revived.Load(),
+		FastSkips:    k.FastSkips.Load(),
+		EmptySkips:   k.EmptySkips.Load(),
+		SlowPaths:    k.SlowPaths.Load(),
+		Rerouted:     k.Rerouted.Load(),
+		Revived:      k.Revived.Load(),
 		Seeded:       c.seeded.Load(),
-		StepsIn:      c.stepsIn.Load(),
-		StepsOut:     c.stepsOut.Load(),
+		StepsIn:      k.StepsIn.Load(),
+		StepsOut:     k.StepsOut.Load(),
 		Queries:      c.queries.Load(),
 		Deletions:    c.deletions.Load(),
 		DelMisses:    c.delMisses.Load(),
-		DelRerouted:  c.delRerouted.Load(),
-		DelTruncated: c.delTruncated.Load(),
+		DelRerouted:  k.DelRerouted.Load(),
+		DelTruncated: k.DelTruncated.Load(),
 		Suspects:     c.suspects.Load(),
 		Swept:        c.swept.Load(),
 	}
@@ -145,83 +142,10 @@ const (
 	// the same endpoint's stripe; that is why it need not be watched by the
 	// straggler sweep.
 	endpointStripes = 256
-	// segmentStripes freezes the segments a repair phase scans.
-	segmentStripes = 512
+	// updateStream is the PCG stream of the serialized update RNG; the
+	// kernel's pool worker wk draws from stream updateStream<<16 + wk.
+	updateStream = 0x5a15a
 )
-
-// updater is one update goroutine's private state: RNG, reusable buffers,
-// and the per-arrival touched map (segments whose tail this arrival already
-// regenerated; the backward phase must not flip coins on freshly sampled
-// steps).
-type updater struct {
-	rng *rand.Rand
-	// nb samples regrown tails and seeded walks: the social store, or during
-	// a parallel deletion batch a walk.Recorder over it that notes every step
-	// on one of the batch's deleted edges for the straggler sweep.
-	nb      walk.Neighborer
-	keys    []uint64
-	idx     []int
-	hits    []walkstore.PosHit
-	segs    []walkstore.SegmentID
-	paths   [][]graph.NodeID
-	touched touchedSet
-
-	// Deferred-write state: redirect samples fresh tails into tailBuf and
-	// records a pendingMut per mutation; flushMuts applies the whole
-	// phase's mutations through one stripe-grouped ReplaceTailBatch pass.
-	tailBuf []graph.NodeID
-	muts    []pendingMut
-	tms     []walkstore.TailMutation
-}
-
-func newUpdater(rng *rand.Rand, nb walk.Neighborer) *updater { return &updater{rng: rng, nb: nb} }
-
-// pendingMut is one deferred ReplaceTail: the repair phase samples the fresh
-// tail inline (preserving the exact RNG consumption order) into w.tailBuf and
-// defers the store write until the phase's flush. start == end records a pure
-// truncation (deletion-path revival in reverse).
-type pendingMut struct {
-	id         walkstore.SegmentID
-	keep       int
-	start, end int // w.tailBuf[start:end] is the fresh tail
-}
-
-// touchedSet records the segments whose tail this arrival already
-// regenerated (id -> first fresh path position). A flat pair of parallel
-// slices, not a map: an arrival touches a handful of segments and the map's
-// per-lookup hashing was visible in the storm profile.
-type touchedSet struct {
-	ids   []walkstore.SegmentID
-	keeps []int
-}
-
-func (t *touchedSet) reset() {
-	t.ids = t.ids[:0]
-	t.keeps = t.keeps[:0]
-}
-
-func (t *touchedSet) set(id walkstore.SegmentID, keep int) {
-	t.ids = append(t.ids, id)
-	t.keeps = append(t.keeps, keep)
-}
-
-func (t *touchedSet) get(id walkstore.SegmentID) (int, bool) {
-	for i, x := range t.ids {
-		if x == id {
-			return t.keeps[i], true
-		}
-	}
-	return 0, false
-}
-
-func (w *updater) lockSegments(set *stripes.MutexSet, ids []walkstore.SegmentID) []int {
-	w.keys = w.keys[:0]
-	for _, id := range ids {
-		w.keys = append(w.keys, uint64(id))
-	}
-	w.idx = set.LockKeys(w.keys, w.idx)
-	return w.idx
-}
 
 // Maintainer keeps R alternating walk segments per node per side fresh under
 // an edge stream and serves global and personalized SALSA scores from them.
@@ -231,21 +155,18 @@ func (w *updater) lockSegments(set *stripes.MutexSet, ids []walkstore.SegmentID)
 type Maintainer struct {
 	soc   *socialstore.Store
 	walks *walkstore.Store
+	k     *repair.Kernel
 	cfg   Config
 
-	mu        sync.Mutex // serializes ApplyEdge and the serialized ApplyEdges path
-	serial    *updater   // guarded by mu
-	serialPCG *rand.PCG  // source behind serial's RNG, retained for state capture
+	mu        sync.Mutex     // serializes ApplyEdge and the serialized ApplyEdges path
+	serial    *repair.Worker // guarded by mu
+	serialPCG *rand.PCG      // source behind serial's RNG, retained for state capture
 
 	knownMu sync.Mutex
 	known   map[graph.NodeID]bool // nodes owning their 2R segments
 
 	endMu *stripes.MutexSet
-	segMu *stripes.MutexSet
 	cnt   counters
-
-	// compactTick counts completed mutations toward Config.CompactEvery.
-	compactTick atomic.Int64
 
 	// arrivalObs, when set, is called after each graph mutation's repair
 	// completes — arrivals (edge written, both repair phases done, endpoints
@@ -285,16 +206,19 @@ func NewWithStore(soc *socialstore.Store, cfg Config, walks *walkstore.Store) *M
 	if cfg.R <= 0 {
 		cfg.R = 1
 	}
-	pcg := rand.NewPCG(cfg.Seed, 0x5a15a)
+	pcg := rand.NewPCG(cfg.Seed, updateStream)
 	return &Maintainer{
-		soc:       soc,
-		walks:     walks,
+		soc:   soc,
+		walks: walks,
+		k: repair.New(walks, soc, repair.Config{
+			Eps: cfg.Eps, Tail: repair.AlternatingTail, Workers: cfg.UpdateWorkers,
+			Seed: cfg.Seed, Stream: updateStream, CompactEvery: cfg.CompactEvery,
+		}),
 		cfg:       cfg,
-		serial:    newUpdater(rand.New(pcg), soc),
+		serial:    repair.NewWorker(rand.New(pcg), soc),
 		serialPCG: pcg,
 		known:     make(map[graph.NodeID]bool),
 		endMu:     stripes.NewMutexSet(endpointStripes),
-		segMu:     stripes.NewMutexSet(segmentStripes),
 	}
 }
 
@@ -420,7 +344,13 @@ func (m *Maintainer) ApplyEdge(ed graph.Edge) {
 // and the result is reproducible in distribution rather than per seed.
 func (m *Maintainer) ApplyEdges(edges []graph.Edge) {
 	if m.cfg.UpdateWorkers > 1 {
-		m.applyParallel(edges, m.cfg.UpdateWorkers)
+		// Pre-group the storm by source stripe: consecutive claims then hit
+		// the same counter stripe and endpoint locks, so each worker's cache
+		// lines stay warm. Same-stripe arrivals keep their relative stream
+		// order (the grouping is a stable permutation); cross-stripe order
+		// was never guaranteed on the parallel path.
+		order := walkstore.GroupByStripe(len(edges), func(i int) graph.NodeID { return edges[i].From })
+		m.k.Pool(len(edges), order, nil, func(i int, w *repair.Worker) { m.applyOne(edges[i], w) })
 		return
 	}
 	m.mu.Lock()
@@ -430,33 +360,9 @@ func (m *Maintainer) ApplyEdges(edges []graph.Edge) {
 	}
 }
 
-func (m *Maintainer) applyParallel(edges []graph.Edge, workers int) {
-	// Pre-group the storm by source stripe: consecutive claims then hit the
-	// same counter stripe and endpoint locks, so each worker's cache lines
-	// stay warm. Same-stripe arrivals keep their relative stream order (the
-	// grouping is a stable permutation); cross-stripe order was never
-	// guaranteed on the parallel path.
-	order := walkstore.GroupByStripe(len(edges), func(i int) graph.NodeID { return edges[i].From })
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func(wk int) {
-			defer wg.Done()
-			w := newUpdater(rand.New(rand.NewPCG(m.cfg.Seed, 0x5a15a0000+uint64(wk))), m.soc)
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(edges) {
-					break
-				}
-				m.applyOne(edges[order[i]], w)
-			}
-		}(wk)
-	}
-	wg.Wait()
-}
-
-func (m *Maintainer) applyOne(ed graph.Edge, w *updater) {
+// applyOne is one arrival: a forward repair phase at the source, then a
+// backward one at the target.
+func (m *Maintainer) applyOne(ed graph.Edge, w *repair.Worker) {
 	m.cnt.arrivals.Add(1)
 	u, v := ed.From, ed.To
 	// One arrival holds its source and target endpoint stripes for both
@@ -469,21 +375,17 @@ func (m *Maintainer) applyOne(ed graph.Edge, w *updater) {
 	// serialize with one into it.
 	li, lj := m.endMu.LockPair(2*uint64(u), 2*uint64(v)+1)
 	dout, din := m.soc.AddEdge(u, v)
-	w.touched.reset()
-	// Forward phase: stored forward steps from u now have a d-th choice.
-	if dout == 1 {
-		m.reviveForward(u, v, w)
-	} else {
-		m.rerouteForward(u, v, dout, w)
-	}
+	w.Reset()
+	// Forward phase: stored forward steps from u now have a d-th choice, or
+	// forward-pending walks ended at a u that had no out-edge continue with
+	// probability 1-eps.
+	m.k.Arrive(w, u, v, walkstore.SideForward, dout, m.cfg.Eps)
 	// Backward phase: stored backward steps from v now have a d-th choice.
 	// Runs after the forward phase so it can exclude the positions that
-	// phase just regenerated (they already sampled the new edge).
-	if din == 1 {
-		m.reviveBackward(v, u, w)
-	} else {
-		m.rerouteBackward(v, u, din, w)
-	}
+	// phase just regenerated (they already sampled the new edge). A walk
+	// pauses before a backward step with no reset coin, so when v gains its
+	// first in-edge every walk that died there continues: eps 0.
+	m.k.Arrive(w, v, u, walkstore.SideBackward, din, 0)
 	m.endMu.UnlockPair(li, lj)
 	// Seed new endpoints last: freshly seeded walks already sample the new
 	// edge, so repairing them too would over-weight it.
@@ -495,397 +397,14 @@ func (m *Maintainer) applyOne(ed graph.Edge, w *updater) {
 	if m.arrivalObs != nil {
 		m.arrivalObs(ed)
 	}
-	m.maybeCompact()
-}
-
-// freeze prepares one repair phase's candidate enumeration at node n for
-// pending direction dir: it probes the sided pending-position index, locks
-// the involved segments under the SegmentID stripes, and — on the parallel
-// path — re-reads the index under those locks so every hit position is
-// exact, dropping hits of segments another worker mutated into n after the
-// probe (they are simply not part of this arrival's frozen enumeration).
-func (m *Maintainer) freeze(n graph.NodeID, dir walkstore.Side, w *updater) (hits []walkstore.PosHit, held []int) {
-	w.hits = m.walks.AppendPendingPositions(w.hits[:0], n, dir)
-	w.segs = walkstore.DistinctSegments(w.segs, w.hits)
-	held = w.lockSegments(m.segMu, w.segs)
-	if m.cfg.UpdateWorkers > 1 {
-		// Another worker may have mutated a probed segment between the probe
-		// and the freeze; re-read now that the segments cannot move.
-		w.hits = m.walks.AppendPendingPositions(w.hits[:0], n, dir)
-		w.hits = walkstore.KeepSegments(w.hits, w.segs)
-	}
-	// Bulk-fetch the frozen segments' paths under one segment-lock
-	// acquisition; the scans walk them via a cursor over w.segs.
-	w.paths = m.walks.AppendPaths(w.paths, w.segs)
-	return w.hits, held
-}
-
-// groupPath returns the frozen path of segment id, advancing the scan's
-// cursor over the (sorted) frozen segment set. Hit groups arrive in
-// ascending segment order, so the cursor only ever moves forward.
-func groupPath(w *updater, g *int, id walkstore.SegmentID) []graph.NodeID {
-	for w.segs[*g] != id {
-		*g++
-	}
-	return w.paths[*g]
-}
-
-// rerouteForward repairs stored walks after u's out-degree rose to d >= 2:
-// every stored forward step from u independently switches to the new edge
-// with probability 1/d; a switched segment keeps its prefix, steps to v, and
-// continues with a fresh alternating tail (backward next). The skip coin
-// flips against the stripe-consistent sided candidate counter; the scan runs
-// over segments frozen under SegmentID stripe locks and retries against the
-// frozen enumeration if cross-stripe interference shifted the count, so
-// SlowNoops == 0 holds under parallel arrivals too.
-func (m *Maintainer) rerouteForward(u, v graph.NodeID, d int, w *updater) {
-	k := m.walks.PendingCandidates(u, walkstore.SideForward)
-	// <= 0: under parallel arrivals a cross-stripe mutation mid-index can
-	// transiently read the counter pair as negative; classify as empty.
-	if k <= 0 {
-		m.cnt.emptySkips.Add(1)
-		return
-	}
-	inv := 1.0 / float64(d)
-	if w.rng.Float64() < math.Pow(1-inv, float64(k)) {
-		m.cnt.fastSkips.Add(1)
-		return
-	}
-	// first is the global index (over the fixed enumeration of all k
-	// candidate steps) of the first switch, pre-sampled now that the skip
-	// coin came up heads.
-	first := stats.TruncatedGeometric(w.rng, inv, k)
-	hits, held := m.freeze(u, walkstore.SideForward, w)
-	defer m.segMu.UnlockSet(held)
-	defer m.flushMuts(w)
-	for {
-		rerouted, seen := m.forwardScanIndexed(hits, v, inv, first, w)
-		switch {
-		case rerouted > 0:
-			m.cnt.slowPaths.Add(1)
-			m.cnt.rerouted.Add(rerouted)
-			return
-		case seen == 0:
-			m.cnt.emptySkips.Add(1)
-			return
-		}
-		first = stats.TruncatedGeometric(w.rng, inv, seen)
-	}
-}
-
-// forwardScanIndexed runs the forward-phase coin pass over the frozen
-// forward-pending position hits of u: every non-terminal hit is one stored
-// forward step (the index guarantees node and parity), enumerated in
-// (segment, position) order, the order the pre-sampled first-switch index is
-// drawn over. A segment's hits after its own reroute this pass are
-// superseded but keep their enumeration slots.
-func (m *Maintainer) forwardScanIndexed(hits []walkstore.PosHit, v graph.NodeID, inv float64, first int64, w *updater) (rerouted, seen int64) {
-	idx := int64(0)
-	g := 0
-	for i := 0; i < len(hits); {
-		id := hits[i].Seg
-		j := i
-		for j < len(hits) && hits[j].Seg == id {
-			j++
-		}
-		p := groupPath(w, &g, id) // stable: ReplaceTail relocates, never mutates
-		pos := -1
-		for _, h := range hits[i:j] {
-			hp := int(h.Pos)
-			if hp >= len(p)-1 {
-				continue // terminal visit: no stored step to capture
-			}
-			if pos >= 0 {
-				idx++ // superseded by this segment's reroute; slot still counts
-				continue
-			}
-			if stats.FirstSuccessHit(w.rng, first, idx, inv) {
-				pos = hp
-			}
-			idx++
-		}
-		i = j
-		if pos < 0 {
-			continue
-		}
-		m.redirect(id, pos+1, v, walk.Backward, w)
-		w.touched.set(id, pos+1)
-		rerouted++
-	}
-	return rerouted, idx
-}
-
-// reviveForward repairs stored walks after u gained its very first out-edge.
-// While u had no out-edges every walk pausing there before a forward step
-// ended — by the reset coin with probability eps, by the missing edge
-// otherwise — so each stored forward-pending terminal at u now continues
-// with probability 1-eps, necessarily through the new edge.
-func (m *Maintainer) reviveForward(u, v graph.NodeID, w *updater) {
-	t := m.walks.PendingTerminals(u, walkstore.SideForward)
-	if t <= 0 {
-		m.cnt.emptySkips.Add(1)
-		return
-	}
-	eps := m.cfg.Eps
-	if w.rng.Float64() < math.Pow(eps, float64(t)) {
-		m.cnt.fastSkips.Add(1)
-		return
-	}
-	first := stats.TruncatedGeometric(w.rng, 1-eps, t)
-	hits, held := m.freeze(u, walkstore.SideForward, w)
-	defer m.segMu.UnlockSet(held)
-	defer m.flushMuts(w)
-	for {
-		revived, seen := m.reviveForwardScanIndexed(hits, v, eps, first, w)
-		switch {
-		case revived > 0:
-			m.cnt.slowPaths.Add(1)
-			m.cnt.revived.Add(revived)
-			return
-		case seen == 0:
-			m.cnt.emptySkips.Add(1)
-			return
-		}
-		first = stats.TruncatedGeometric(w.rng, 1-eps, seen)
-	}
-}
-
-// reviveForwardScanIndexed runs one continuation pass over frozen
-// forward-pending hits: the revival candidates are exactly the terminal hits
-// (position == last path index), enumerated in ascending segment order.
-func (m *Maintainer) reviveForwardScanIndexed(hits []walkstore.PosHit, v graph.NodeID, eps float64, first int64, w *updater) (revived, seen int64) {
-	idx := int64(0)
-	g := 0
-	for i := 0; i < len(hits); {
-		id := hits[i].Seg
-		j := i
-		for j < len(hits) && hits[j].Seg == id {
-			j++
-		}
-		p := groupPath(w, &g, id)
-		if int(hits[j-1].Pos) == len(p)-1 { // terminal hit: forward-pending end at u
-			cont := stats.FirstSuccessHit(w.rng, first, idx, 1-eps)
-			idx++
-			if cont {
-				m.redirect(id, len(p), v, walk.Backward, w)
-				w.touched.set(id, len(p))
-				revived++
-			}
-		}
-		i = j
-	}
-	return revived, idx
-}
-
-// rerouteBackward repairs stored walks after v's in-degree rose to d >= 2:
-// every stored backward step from v switches to the new in-neighbor u with
-// probability 1/d. Only steps stored before this arrival participate:
-// positions the forward phase just regenerated were sampled on the new graph
-// and are excluded from both the skip-coin exponent and the scan.
-func (m *Maintainer) rerouteBackward(v, u graph.NodeID, d int, w *updater) {
-	k := m.walks.PendingCandidates(v, walkstore.SideBackward)
-	for ti, id := range w.touched.ids {
-		keep := w.touched.keeps[ti]
-		side := m.walks.SideOf(id)
-		p := m.walks.Path(id)
-		for i := keep; i < len(p)-1; i++ {
-			if p[i] == v && side.PendingAt(i) == walkstore.SideBackward {
-				k--
-			}
-		}
-	}
-	if k <= 0 {
-		m.cnt.emptySkips.Add(1)
-		return
-	}
-	inv := 1.0 / float64(d)
-	if w.rng.Float64() < math.Pow(1-inv, float64(k)) {
-		m.cnt.fastSkips.Add(1)
-		return
-	}
-	first := stats.TruncatedGeometric(w.rng, inv, k)
-	hits, held := m.freeze(v, walkstore.SideBackward, w)
-	defer m.segMu.UnlockSet(held)
-	defer m.flushMuts(w)
-	for {
-		rerouted, seen := m.backwardScanIndexed(hits, u, inv, first, w)
-		switch {
-		case rerouted > 0:
-			m.cnt.slowPaths.Add(1)
-			m.cnt.rerouted.Add(rerouted)
-			return
-		case seen == 0:
-			m.cnt.emptySkips.Add(1)
-			return
-		}
-		first = stats.TruncatedGeometric(w.rng, inv, seen)
-	}
-}
-
-// backwardScanIndexed runs the backward-phase coin pass over the frozen
-// backward-pending hits of v, excluding terminal hits and — for segments the
-// forward phase just regenerated — hits at or beyond the first fresh
-// position (those steps were sampled on the new graph).
-func (m *Maintainer) backwardScanIndexed(hits []walkstore.PosHit, u graph.NodeID, inv float64, first int64, w *updater) (rerouted, seen int64) {
-	idx := int64(0)
-	g := 0
-	for i := 0; i < len(hits); {
-		id := hits[i].Seg
-		j := i
-		for j < len(hits) && hits[j].Seg == id {
-			j++
-		}
-		p := groupPath(w, &g, id)
-		end := len(p) - 1 // candidates are non-terminal visits
-		if keep, ok := w.touched.get(id); ok && keep < end {
-			end = keep // positions >= keep are fresh
-		}
-		pos := -1
-		for _, h := range hits[i:j] {
-			hp := int(h.Pos)
-			if hp >= end {
-				continue
-			}
-			if pos >= 0 {
-				idx++ // superseded slot
-				continue
-			}
-			if stats.FirstSuccessHit(w.rng, first, idx, inv) {
-				pos = hp
-			}
-			idx++
-		}
-		i = j
-		if pos < 0 {
-			continue
-		}
-		m.redirect(id, pos+1, u, walk.Forward, w)
-		rerouted++
-	}
-	return rerouted, idx
-}
-
-// reviveBackward repairs stored walks after v gained its very first in-edge.
-// A walk pauses before a backward step with no reset coin, so while v had no
-// in-edges every such walk died there deterministically — and now every one
-// of them continues, necessarily to u, with probability 1: the backward
-// analogue of revival has no coin to flip. An interference-emptied terminal
-// set downgrades to EmptySkips; there is no coin whose promise could be
-// broken.
-func (m *Maintainer) reviveBackward(v, u graph.NodeID, w *updater) {
-	t := m.walks.PendingTerminals(v, walkstore.SideBackward)
-	if t <= 0 {
-		m.cnt.emptySkips.Add(1)
-		return
-	}
-	hits, held := m.freeze(v, walkstore.SideBackward, w)
-	defer m.segMu.UnlockSet(held)
-	defer m.flushMuts(w)
-	revived := int64(0)
-	g := 0
-	for i := 0; i < len(hits); {
-		id := hits[i].Seg
-		j := i
-		for j < len(hits) && hits[j].Seg == id {
-			j++
-		}
-		p := groupPath(w, &g, id)
-		last := len(p) - 1
-		if int(hits[j-1].Pos) == last { // terminal hit: backward-pending end at v
-			// A tail regenerated this arrival cannot end backward-pending at
-			// v (v already has the new in-edge), so this guard is
-			// unreachable; it keeps the phase safe against double-sampling
-			// regardless.
-			if keep, ok := w.touched.get(id); !ok || last < keep {
-				m.redirect(id, len(p), u, walk.Forward, w)
-				revived++
-			}
-		}
-		i = j
-	}
-	if revived > 0 {
-		m.cnt.slowPaths.Add(1)
-		m.cnt.revived.Add(revived)
-	} else {
-		m.cnt.emptySkips.Add(1)
-	}
-}
-
-// redirect truncates segment id to keep nodes, steps it to `to`, and extends
-// it with a fresh alternating tail whose next step has direction nextDir,
-// sampled through the social store. Parity is preserved: position keep's
-// pending direction is automatically nextDir. Callers hold the segment's
-// stripe lock. The tail is sampled here, inline, so the RNG draws in
-// candidate order; only the store write waits for the phase's flushMuts.
-func (m *Maintainer) redirect(id walkstore.SegmentID, keep int, to graph.NodeID, nextDir walk.Direction, w *updater) {
-	start := len(w.tailBuf)
-	w.tailBuf = append(w.tailBuf, to)
-	w.tailBuf = walk.AppendContinueSalsa(w.nb, to, nextDir, m.cfg.Eps, w.rng, w.tailBuf)
-	w.muts = append(w.muts, pendingMut{id: id, keep: keep, start: start, end: len(w.tailBuf)})
-}
-
-// truncate cuts segment id down to keep nodes with no replacement tail (the
-// deletion path's reverse revival), deferred alongside the phase's redirects.
-func (m *Maintainer) truncate(id walkstore.SegmentID, keep int, w *updater) {
-	w.muts = append(w.muts, pendingMut{id: id, keep: keep})
-}
-
-// flushMuts applies every tail mutation the current repair phase deferred
-// through one stripe-grouped ReplaceTailBatch pass: one arena relocation
-// critical section and one counter-stripe lock acquisition per touched
-// stripe, instead of one of each per rerouted segment. Phases register it
-// with defer immediately after the UnlockSet defer, so it runs (LIFO) while
-// the segment stripe locks are still held; a phase's writes are therefore
-// fully visible before the next phase probes the store.
-func (m *Maintainer) flushMuts(w *updater) {
-	// The phase's scans are over. Its frozen paths alias the arena, so they
-	// are dropped rather than left in scratch capacity, where a later and
-	// shorter freeze would not overwrite them and they would keep an arena
-	// that Compact has since replaced reachable.
-	clear(w.paths)
-	w.paths = w.paths[:0]
-	if len(w.muts) == 0 {
-		return
-	}
-	for _, mu := range w.muts {
-		var tail []graph.NodeID
-		if mu.end > mu.start {
-			tail = w.tailBuf[mu.start:mu.end:mu.end]
-		}
-		w.tms = append(w.tms, walkstore.TailMutation{ID: mu.id, Keep: mu.keep, NewTail: tail})
-	}
-	removed, added := m.walks.ReplaceTailBatch(w.tms)
-	// Likewise the staged tails, which alias a tailBuf that append may by
-	// now have outgrown.
-	clear(w.tms)
-	w.tms = w.tms[:0]
-	m.cnt.stepsOut.Add(int64(removed))
-	m.cnt.stepsIn.Add(int64(added))
-	w.muts = w.muts[:0]
-	w.tailBuf = w.tailBuf[:0]
-}
-
-// maybeCompact checks the arena's garbage ratio every CompactEvery-th
-// completed mutation and compacts when it is worth the copy
-// (Store.MaybeCompact). Compact changes no logical state (no epoch,
-// stripe-epoch, or journal movement), so its placement relative to the
-// arrival observer and to concurrent queries is unconstrained; callers
-// just must not hold segment stripe locks across it (they don't — it runs
-// after the repair).
-func (m *Maintainer) maybeCompact() {
-	if m.cfg.CompactEvery <= 0 {
-		return
-	}
-	if m.compactTick.Add(1)%int64(m.cfg.CompactEvery) == 0 {
-		m.walks.MaybeCompact()
-	}
+	m.k.MaybeCompact()
 }
 
 // ensureNode seeds R segments per side for a node first seen mid-stream,
 // preserving the invariant that every known node owns 2R walks. The claim is
 // made under knownMu so exactly one arrival seeds a node; the walks are
 // sampled outside the lock.
-func (m *Maintainer) ensureNode(v graph.NodeID, w *updater) {
+func (m *Maintainer) ensureNode(v graph.NodeID, w *repair.Worker) {
 	m.knownMu.Lock()
 	if m.known[v] {
 		m.knownMu.Unlock()
@@ -896,11 +415,11 @@ func (m *Maintainer) ensureNode(v graph.NodeID, w *updater) {
 	pathsF := make([][]graph.NodeID, m.cfg.R)
 	pathsB := make([][]graph.NodeID, m.cfg.R)
 	for i := 0; i < m.cfg.R; i++ {
-		segF := walk.Salsa(w.nb, v, walk.Forward, m.cfg.Eps, w.rng)
+		segF := walk.Salsa(w.NB, v, walk.Forward, m.cfg.Eps, w.RNG)
 		pathsF[i] = segF.Path
-		segB := walk.Salsa(w.nb, v, walk.Backward, m.cfg.Eps, w.rng)
+		segB := walk.Salsa(w.NB, v, walk.Backward, m.cfg.Eps, w.RNG)
 		pathsB[i] = segB.Path
-		m.cnt.stepsIn.Add(int64(len(segF.Path) + len(segB.Path)))
+		m.k.Cnt.StepsIn.Add(int64(len(segF.Path) + len(segB.Path)))
 	}
 	m.walks.AddBatchSided(pathsF, walkstore.SideForward)
 	m.walks.AddBatchSided(pathsB, walkstore.SideBackward)
@@ -974,5 +493,5 @@ func (m *Maintainer) TopKAuthorities(k int) []topk.Item {
 
 // Counters returns a snapshot of the update-path accounting.
 func (m *Maintainer) Counters() Counters {
-	return m.cnt.snapshot()
+	return m.cnt.snapshot(&m.k.Cnt)
 }

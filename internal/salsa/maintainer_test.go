@@ -11,7 +11,6 @@ import (
 	"fastppr/internal/graph"
 	"fastppr/internal/socialstore"
 	"fastppr/internal/topk"
-	"fastppr/internal/walkstore"
 )
 
 const oracleTol = 1e-11
@@ -337,66 +336,4 @@ func TestEmptyMaintainer(t *testing.T) {
 	if st := q.Stats(); st.StoreCalls != st.BareSteps {
 		t.Fatalf("call accounting drifted on empty graph: %+v", st)
 	}
-}
-
-// TestScanCountsEveryCandidate pins what the retry loops of the two reroute
-// phases rely on: a scan reports every candidate slot as seen, superseded
-// ones included, so a retry redraws the first switch over the enumeration
-// the skip coin's exponent counted. Only parallel runs ever retry, so
-// TestMatchesReference cannot see this count. The self-loop makes walks
-// revisit 0 on both sides.
-func TestScanCountsEveryCandidate(t *testing.T) {
-	g := graph.New(2)
-	g.AddEdge(0, 0)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 0)
-	mt, _ := newMaintainer(g, Config{Eps: 0.1, R: 40, Workers: 1, Seed: 9})
-	mt.Bootstrap()
-	w := mt.serial
-	for _, dir := range []walkstore.Side{walkstore.SideForward, walkstore.SideBackward} {
-		k := mt.Store().PendingCandidates(0, dir)
-		w.touched.reset()
-		hits, held := mt.freeze(0, dir, w)
-		first := supersedingFirst(mt.Store(), hits)
-		var seen int64
-		switch {
-		case first < 0:
-		case dir == walkstore.SideForward:
-			_, seen = mt.forwardScanIndexed(hits, 1, 0.5, first, w)
-		default:
-			_, seen = mt.backwardScanIndexed(hits, 1, 0.5, first, w)
-		}
-		mt.flushMuts(w)
-		mt.segMu.UnlockSet(held)
-		if first < 0 {
-			t.Fatalf("side %d setup: no segment holds two candidates", dir)
-		}
-		if seen != k {
-			t.Fatalf("side %d: scan saw %d candidates, the skip coin counted %d", dir, seen, k)
-		}
-	}
-}
-
-// supersedingFirst returns the enumeration index of the first candidate hit
-// (a non-terminal one) whose segment holds another candidate, or -1: drawn
-// as the first switch, it supersedes that other candidate.
-func supersedingFirst(s *walkstore.Store, hits []walkstore.PosHit) int64 {
-	isCand := func(h walkstore.PosHit) bool { return int(h.Pos) < len(s.Path(h.Seg))-1 }
-	cands := make(map[walkstore.SegmentID]int)
-	for _, h := range hits {
-		if isCand(h) {
-			cands[h.Seg]++
-		}
-	}
-	idx := int64(0)
-	for _, h := range hits {
-		if !isCand(h) {
-			continue
-		}
-		if cands[h.Seg] >= 2 {
-			return idx
-		}
-		idx++
-	}
-	return -1
 }

@@ -1,9 +1,7 @@
 // Package stats implements the statistical toolkit the paper's evaluation
-// relies on: rank–size power-law fitting (the Figure 4 regression),
-// cumulative degree distributions (Figure 1's arrival-vs-existing degree
-// CDFs), 11-point interpolated average precision (the metric of Figure 5),
-// and small numeric helpers (harmonic numbers, summaries, and the
+// relies on: 11-point interpolated average precision (the metric of Figure
+// 5) and small numeric helpers (harmonic numbers, summaries, and the
 // truncated-geometric sampler plus first-success-hit rule behind the
-// maintainers' lossless fast path —
+// repair kernel's lossless fast path —
 // docs/DESIGN.md#3-the-lossless-wv-fast-path).
 package stats

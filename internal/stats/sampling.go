@@ -10,11 +10,15 @@ import (
 //
 //	P(J = j) = (1-p)^j p / (1 - (1-p)^k)   for j in [0, k).
 //
-// Both incremental maintainers use it to make the W(v) fast path
+// The repair kernel uses it to make the W(v) fast path
 // distribution-lossless: when the skip coin decides an arrival does perturb
 // the store, the position of the first perturbed step is drawn from exactly
-// the conditional law the skipped naive coin flips would have produced.
+// the conditional law the skipped naive coin flips would have produced. A
+// certain trial (p >= 1) is the first success without a draw.
 func TruncatedGeometric(rng *rand.Rand, p float64, k int64) int64 {
+	if p >= 1 {
+		return 0
+	}
 	q := 1 - p
 	u := rng.Float64()
 	j := int64(math.Log(1-u*(1-math.Pow(q, float64(k)))) / math.Log(q))
@@ -30,12 +34,14 @@ func TruncatedGeometric(rng *rand.Rand, p float64, k int64) int64 {
 // FirstSuccessHit decides whether the idx-th enumerated Bernoulli(p) trial
 // succeeds, given a pre-sampled first-success index from TruncatedGeometric:
 // trials before first fail by construction, trial first succeeds, and later
-// trials flip independent coins. Shared by both maintainers' repair scans.
+// trials flip independent coins — except that a trial with p >= 1 succeeds
+// without a draw, so a certain law consumes no randomness. Used by the
+// repair kernel's first-success scan.
 func FirstSuccessHit(rng *rand.Rand, first, idx int64, p float64) bool {
 	switch {
 	case idx < first:
 		return false
-	case idx == first:
+	case idx == first, p >= 1:
 		return true
 	default:
 		return rng.Float64() < p

@@ -1,10 +1,6 @@
 package stats
 
-import (
-	"errors"
-	"math"
-	"slices"
-)
+import "math"
 
 // Summary holds basic descriptive statistics.
 type Summary struct {
@@ -46,147 +42,4 @@ func Harmonic(m int) float64 {
 		h += 1.0 / float64(t)
 	}
 	return h
-}
-
-// PowerLawFit is the result of a rank–size log–log regression: values are
-// modeled as value(rank) ∝ rank^(-Alpha).
-type PowerLawFit struct {
-	Alpha float64 // power-law exponent (positive for a decaying law)
-	C     float64 // log of the proportionality constant (natural log)
-	R2    float64 // coefficient of determination of the log–log fit
-}
-
-// ErrDegenerate indicates the fit had fewer than two usable points.
-var ErrDegenerate = errors.New("stats: fewer than two positive points to fit")
-
-// FitPowerLaw fits value(rank) = e^C * rank^(-Alpha) over the 1-based rank
-// window [lo, hi] of values, which must be sorted in descending order.
-// Non-positive values inside the window are skipped (they carry no log
-// information). Pass lo=1, hi=len(values) to fit the whole vector; the
-// paper's Figure 4 fits the window [2f, 20f] around a user's friend count f.
-func FitPowerLaw(values []float64, lo, hi int) (PowerLawFit, error) {
-	if lo < 1 {
-		lo = 1
-	}
-	if hi > len(values) {
-		hi = len(values)
-	}
-	var xs, ys []float64
-	for r := lo; r <= hi; r++ {
-		v := values[r-1]
-		if v <= 0 {
-			continue
-		}
-		xs = append(xs, math.Log(float64(r)))
-		ys = append(ys, math.Log(v))
-	}
-	if len(xs) < 2 {
-		return PowerLawFit{}, ErrDegenerate
-	}
-	slope, intercept, r2 := linreg(xs, ys)
-	return PowerLawFit{Alpha: -slope, C: intercept, R2: r2}, nil
-}
-
-// linreg is ordinary least squares of y on x, returning slope, intercept and
-// the coefficient of determination.
-func linreg(xs, ys []float64) (slope, intercept, r2 float64) {
-	n := float64(len(xs))
-	var sx, sy float64
-	for i := range xs {
-		sx += xs[i]
-		sy += ys[i]
-	}
-	mx, my := sx/n, sy/n
-	var sxx, sxy, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxx += dx * dx
-		sxy += dx * dy
-		syy += dy * dy
-	}
-	if sxx == 0 {
-		return 0, my, 0
-	}
-	slope = sxy / sxx
-	intercept = my - slope*mx
-	if syy == 0 {
-		return slope, intercept, 1
-	}
-	r2 = sxy * sxy / (sxx * syy)
-	return slope, intercept, r2
-}
-
-// CDFPoint is a point of a cumulative distribution over degrees: the
-// fraction of mass at degree <= Degree.
-type CDFPoint struct {
-	Degree   int
-	Fraction float64
-}
-
-// WeightedCDF builds a CDF over the integer-valued observations in counts:
-// counts maps a degree d to a non-negative weight. The returned points are
-// sorted by degree and Fraction is the normalized cumulative weight. Used by
-// Figure 1 for both the "arrival degree" cdf (weight = number of arriving
-// edges whose source had degree d) and the "existing degree" cdf (weight =
-// d * number of nodes with degree d).
-func WeightedCDF(counts map[int]float64) []CDFPoint {
-	if len(counts) == 0 {
-		return nil
-	}
-	degrees := make([]int, 0, len(counts))
-	var total float64
-	for d, w := range counts {
-		degrees = append(degrees, d)
-		total += w
-	}
-	slices.Sort(degrees)
-	out := make([]CDFPoint, 0, len(degrees))
-	var cum float64
-	for _, d := range degrees {
-		cum += counts[d]
-		frac := 0.0
-		if total > 0 {
-			frac = cum / total
-		}
-		out = append(out, CDFPoint{Degree: d, Fraction: frac})
-	}
-	return out
-}
-
-// CDFAt evaluates a CDF (as returned by WeightedCDF) at degree d.
-func CDFAt(cdf []CDFPoint, d int) float64 {
-	// Find the first point with Degree > d; the comparator never returns 0
-	// so the insertion point is exactly that boundary.
-	i, _ := slices.BinarySearchFunc(cdf, d, func(p CDFPoint, t int) int {
-		if p.Degree <= t {
-			return -1
-		}
-		return 1
-	})
-	if i == 0 {
-		return 0
-	}
-	return cdf[i-1].Fraction
-}
-
-// MaxCDFDistance returns the Kolmogorov–Smirnov style maximum vertical
-// distance between two CDFs, evaluated at the union of their degree points.
-// Figure 1's "the two cdfs track each other" claim is quantified by this
-// statistic being small.
-func MaxCDFDistance(a, b []CDFPoint) float64 {
-	points := make(map[int]struct{}, len(a)+len(b))
-	for _, p := range a {
-		points[p.Degree] = struct{}{}
-	}
-	for _, p := range b {
-		points[p.Degree] = struct{}{}
-	}
-	var maxd float64
-	for d := range points {
-		diff := math.Abs(CDFAt(a, d) - CDFAt(b, d))
-		if diff > maxd {
-			maxd = diff
-		}
-	}
-	return maxd
 }

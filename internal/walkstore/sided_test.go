@@ -199,3 +199,26 @@ func TestSidedRandomizedStress(t *testing.T) {
 	}
 	checkSided(t, s, live, nodes)
 }
+
+// TestPendingCountersUnsided pins that the sided counter API answers for
+// Unsided too, with exactly Candidates and Terminals, so a repair phase
+// reads one API for every side.
+func TestPendingCountersUnsided(t *testing.T) {
+	s := New()
+	s.Add([]graph.NodeID{1, 2, 1, 3})
+	s.Add([]graph.NodeID{1})
+	for v := graph.NodeID(0); v <= 3; v++ {
+		if got, want := s.PendingCandidates(v, Unsided), s.Candidates(v); got != want {
+			t.Fatalf("PendingCandidates(%d, Unsided)=%d, Candidates=%d", v, got, want)
+		}
+		if got, want := s.PendingTerminals(v, Unsided), s.Terminals(v); got != want {
+			t.Fatalf("PendingTerminals(%d, Unsided)=%d, Terminals=%d", v, got, want)
+		}
+	}
+	if got := s.PendingCandidates(1, Unsided); got != 2 {
+		t.Fatalf("PendingCandidates(1, Unsided)=%d want 2", got)
+	}
+	if got := s.PendingTerminals(1, Unsided); got != 1 {
+		t.Fatalf("PendingTerminals(1, Unsided)=%d want 1", got)
+	}
+}

@@ -308,10 +308,6 @@ func (s *Store) stripe(v graph.NodeID) *counterStripe {
 	return &s.stripes[stripeIndex(v)]
 }
 
-// NumStripes returns the number of counter stripes (for tests and bench
-// provenance).
-func (s *Store) NumStripes() int { return numStripes }
-
 // StripeCount is the number of counter stripes as a compile-time constant,
 // exported so callers keying per-stripe state (the serving tier's
 // invalidation stamps fit one uint64 bitmask exactly because this is 64) can
@@ -789,8 +785,12 @@ func (s *Store) PendingVisits(v graph.NodeID, dir Side) int64 {
 
 // PendingTerminals returns the number of stored sided segments that end at v
 // with a pending step of direction dir — the walks an arriving edge can
-// revive when v gains its first edge in that direction.
+// revive when v gains its first edge in that direction. For Unsided it is
+// Terminals(v), so a repair phase reads one counter API for every side.
 func (s *Store) PendingTerminals(v graph.NodeID, dir Side) int64 {
+	if dir == Unsided {
+		return s.Terminals(v)
+	}
 	mustDir(dir)
 	st := s.stripe(v)
 	st.mu.RLock()
@@ -805,8 +805,12 @@ func (s *Store) PendingTerminals(v graph.NodeID, dir Side) int64 {
 // segments actually take from v (pending visits minus terminals) — the exact
 // exponent of the SALSA maintainer's skip coin, the sided analogue of
 // Candidates. Both counts are read under v's stripe lock, so the difference
-// is a consistent per-node snapshot even while other nodes mutate.
+// is a consistent per-node snapshot even while other nodes mutate. For
+// Unsided it is Candidates(v).
 func (s *Store) PendingCandidates(v graph.NodeID, dir Side) int64 {
+	if dir == Unsided {
+		return s.Candidates(v)
+	}
 	mustDir(dir)
 	st := s.stripe(v)
 	st.mu.RLock()
