@@ -6,6 +6,7 @@ import (
 
 	"fastppr/internal/gen"
 	"fastppr/internal/graph"
+	"fastppr/internal/repair"
 	"fastppr/internal/walkstore"
 )
 
@@ -87,5 +88,50 @@ func TestApplyWindowCompactEveryBitwise(t *testing.T) {
 	}
 	if liveC > totalC {
 		t.Fatalf("ArenaStats live=%d > total=%d", liveC, totalC)
+	}
+}
+
+// TestUpdStateScratchReleased pins the end-of-phase contract of a worker's
+// scratch: frozen paths alias the store's arena and staged tails alias the
+// worker's tail buffer, so once an arrival or deletion has flushed neither
+// may survive anywhere in the scratch slices' capacity.
+func TestUpdStateScratchReleased(t *testing.T) {
+	const n = 60
+	g := graph.New(n)
+	for i := 0; i < n; i++ {
+		g.AddNode(graph.NodeID(i))
+	}
+	store := walkstore.New()
+	eng := New(g, store, Config{Eps: 0.2, R: 3, Workers: 1, Seed: 41})
+	eng.BuildStore(g.Nodes())
+	rng := rand.New(rand.NewPCG(42, 0))
+	stream := gen.DirichletStream(n, 400, rng)
+	w := repair.NewWorker(rng, g)
+	var added UpdateStats
+	var deleted DeleteStats
+	for i, ed := range stream {
+		d, _ := g.AddEdge(ed.From, ed.To)
+		eng.applyOne(ed, d, w, &added)
+		if i%3 == 2 {
+			d, _, left, _ := g.RemoveEdge(ed.From, ed.To)
+			eng.deleteOne(ed, left+1, d, w, &deleted)
+		}
+	}
+	paths, tms := w.Scratch()
+	if len(paths) == 0 || len(tms) == 0 {
+		t.Fatalf("stream never used the scratch: cap(paths)=%d cap(tms)=%d", len(paths), len(tms))
+	}
+	for i, p := range paths {
+		if p != nil {
+			t.Fatalf("paths[%d] of %d still holds a %d-node arena path after the phase ended", i, len(paths), len(p))
+		}
+	}
+	for i, tm := range tms {
+		if tm.NewTail != nil {
+			t.Fatalf("tms[%d] of %d still holds a staged tail after the flush", i, len(tms))
+		}
+	}
+	if err := store.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"fastppr/internal/gen"
 	"fastppr/internal/graph"
+	"fastppr/internal/repair"
 )
 
 // This file pins the batching-era guarantees for the PageRank maintainer:
@@ -144,5 +145,40 @@ func TestCompactRacesEstimatesAndStorm(t *testing.T) {
 	validateAll(t, mt)
 	if c := mt.Counters(); c.SlowNoops != 0 {
 		t.Fatalf("compacting storm recorded %d no-op slow paths", c.SlowNoops)
+	}
+}
+
+// TestUpdaterScratchReleased pins the end-of-phase contract of the
+// maintainer's serialized worker: frozen paths alias the walk store's arena
+// and staged tails alias the worker's tail buffer, so once a phase has
+// flushed (repair.Kernel.Release) neither may survive anywhere in the
+// scratch slices' capacity — a hub-sized freeze followed by shorter ones
+// used to leave its tail entries pinning an arena that Compact had already
+// replaced.
+func TestUpdaterScratchReleased(t *testing.T) {
+	const n = 60
+	mt, _ := newMaintainer(n, Config{Eps: 0.2, R: 8, Workers: 1, Seed: 321, CompactEvery: 3})
+	mt.Bootstrap()
+	mt.ApplyEvents(gen.PowerLawChurnStream(n, 120, 0.9, 0.35, rand.New(rand.NewPCG(322, 0))))
+	checkScratchReleased(t, mt.serial)
+}
+
+// checkScratchReleased fails t if any slot of w's frozen-path or staged-tail
+// scratch, up to its capacity, still holds a reference.
+func checkScratchReleased(t *testing.T, w *repair.Worker) {
+	t.Helper()
+	paths, tms := w.Scratch()
+	if len(paths) == 0 || len(tms) == 0 {
+		t.Fatalf("stream never used the scratch: cap(paths)=%d cap(tms)=%d", len(paths), len(tms))
+	}
+	for i, p := range paths {
+		if p != nil {
+			t.Fatalf("paths[%d] of %d still holds a %d-node arena path after the phase ended", i, len(paths), len(p))
+		}
+	}
+	for i, tm := range tms {
+		if tm.NewTail != nil {
+			t.Fatalf("tms[%d] of %d still holds a staged tail after the flush", i, len(tms))
+		}
 	}
 }

@@ -9,9 +9,11 @@ import (
 	"fastppr/internal/exact"
 	"fastppr/internal/gen"
 	"fastppr/internal/graph"
+	"fastppr/internal/repair"
 	"fastppr/internal/socialstore"
 	"fastppr/internal/stats"
 	"fastppr/internal/topk"
+	"fastppr/internal/walkstore"
 )
 
 const oracleTol = 1e-11
@@ -390,4 +392,55 @@ func TestTruncatedGeometricLaw(t *testing.T) {
 			t.Fatalf("P(J=%d)=%v want %v (+-%v)", j, got, want, 5*sigma)
 		}
 	}
+}
+
+// TestScanCountsEveryCandidate pins what the retry loop in the maintainer's
+// arrival phase (repair.Kernel.Arrive) relies on: a scan reports every
+// candidate slot as seen, superseded ones included, so a retry redraws the
+// first switch over the enumeration the skip coin's exponent counted. Only
+// parallel runs ever retry, so TestMatchesReference cannot see this count.
+// The self-loop makes walks revisit 0.
+func TestScanCountsEveryCandidate(t *testing.T) {
+	g := graph.New(2)
+	g.AddEdge(0, 0)
+	g.AddEdge(0, 1)
+	g.AddEdge(1, 0)
+	mt := New(socialstore.New(g), Config{Eps: 0.1, R: 40, Workers: 1, Seed: 9})
+	mt.Bootstrap()
+	k := mt.Store().Candidates(0)
+	w := mt.serial
+	mt.k.Freeze(w, 0, walkstore.Unsided)
+	first := supersedingFirst(w)
+	var seen int64
+	if first >= 0 {
+		_, seen = mt.k.FirstSuccessScan(w, 1, walkstore.Unsided, false, 0.5, first)
+	}
+	mt.k.Release(w)
+	if first < 0 {
+		t.Fatal("setup: no segment holds two candidates")
+	}
+	if seen != k {
+		t.Fatalf("scan saw %d candidates, the skip coin counted %d", seen, k)
+	}
+}
+
+// supersedingFirst returns the enumeration index of the first candidate hit
+// (a non-terminal one) of w's frozen phase whose segment holds another
+// candidate, or -1: drawn as the first switch, it supersedes that other
+// candidate.
+func supersedingFirst(w *repair.Worker) int64 {
+	idx, first := int64(0), int64(-1)
+	w.Each(func(_ walkstore.SegmentID, path []graph.NodeID, hits []walkstore.PosHit) {
+		var cands int64
+		for _, h := range hits {
+			if int(h.Pos) < len(path)-1 {
+				cands++
+			}
+		}
+		if cands >= 2 && first < 0 {
+			first = idx
+		}
+		idx += cands
+	})
+	return first
 }

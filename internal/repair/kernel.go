@@ -71,8 +71,7 @@ func New(walks *walkstore.Store, base walk.Neighborer, cfg Config) *Kernel {
 }
 
 // Worker is one update goroutine's private state: its RNG and reusable
-// buffers. A maintainer's serialized path owns one; each Pool worker gets its
-// own.
+// buffers. A maintainer's serialized path owns one; each Pool worker its own.
 type Worker struct {
 	RNG *rand.Rand
 	// NB samples regrown tails and seeded walks: the social store, or during
@@ -117,6 +116,11 @@ type pendingMut struct {
 
 // NewWorker returns a worker drawing from rng and sampling through nb.
 func NewWorker(rng *rand.Rand, nb walk.Neighborer) *Worker { return &Worker{RNG: rng, NB: nb} }
+
+// Scratch returns w's frozen-path and staged-tail scratch up to capacity.
+func (w *Worker) Scratch() ([][]graph.NodeID, []walkstore.TailMutation) {
+	return w.paths[:cap(w.paths)], w.tms[:cap(w.tms)]
+}
 
 // Reset starts a new event: no segment counts as regrown by it yet.
 func (w *Worker) Reset() { w.touched = w.touched[:0] }
@@ -169,7 +173,7 @@ func (k *Kernel) Arrive(w *Worker, n, to graph.NodeID, side walkstore.Side, d in
 	k.Freeze(w, n, side)
 	defer k.Release(w)
 	for {
-		hit, seen := k.firstSuccessScan(w, to, side, terminal, p, first)
+		hit, seen := k.FirstSuccessScan(w, to, side, terminal, p, first)
 		switch {
 		case hit > 0:
 			k.Cnt.SlowPaths.Add(1)
@@ -198,12 +202,12 @@ func (k *Kernel) fresh(w *Worker, n graph.NodeID, side walkstore.Side, terminal 
 	return c
 }
 
-// firstSuccessScan runs one coin pass over the frozen hits in (segment,
+// FirstSuccessScan is Arrive's coin pass over the frozen hits in (segment,
 // position) order, the enumeration the pre-sampled first capture is drawn
 // over. The candidates are the terminal hits for a revival, the other hits
 // for a reroute. A segment's candidates after its own capture this pass are
-// superseded but keep their enumeration slots.
-func (k *Kernel) firstSuccessScan(w *Worker, to graph.NodeID, side walkstore.Side, terminal bool, p float64, first int64) (captured, seen int64) {
+// superseded but keep their enumeration slots, which seen counts.
+func (k *Kernel) FirstSuccessScan(w *Worker, to graph.NodeID, side walkstore.Side, terminal bool, p float64, first int64) (captured, seen int64) {
 	w.Each(func(id walkstore.SegmentID, path []graph.NodeID, hits []walkstore.PosHit) {
 		limit, pos := w.limit(id, len(path)), -1
 		for _, h := range hits {

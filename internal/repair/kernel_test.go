@@ -69,7 +69,7 @@ func TestScanCountsEveryCandidate(t *testing.T) {
 			first := supersedingFirst(w)
 			var seen int64
 			if first >= 0 {
-				_, seen = k.firstSuccessScan(w, 1, tc.side, false, 0.5, first)
+				_, seen = k.FirstSuccessScan(w, 1, tc.side, false, 0.5, first)
 			}
 			k.Release(w)
 			if first < 0 {
