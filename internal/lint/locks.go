@@ -7,7 +7,7 @@ package lint
 // working if packages move. The shapes are exactly the named lock sets of
 // docs/DESIGN.md#lock-order:
 //
-//	level 1  maintainer endpoint stripes   stripes.MutexSet fields srcMu / endMu
+//	level 1  maintainer endpoint stripes   stripes.MutexSet fields named endMu
 //	level 2  maintainer SegmentID stripes  stripes.MutexSet fields named segMu
 //	         (and any other MutexSet — every remaining set in the tree is a
 //	         SegmentID set handed around as a parameter)
@@ -138,8 +138,7 @@ func fieldOwnerName(pkg *types.Package, v *types.Var) string {
 // to the SegmentID level: every set handed around the tree by value is a
 // SegmentID set.
 func classifyMutexSetField(name string) lockClass {
-	switch name {
-	case "srcMu", "endMu":
+	if name == "endMu" {
 		return classEndpoint
 	}
 	return classSegStripe
@@ -179,7 +178,7 @@ func classifySyncMutex(pass *Pass, sel *ast.SelectorExpr) lockClass {
 }
 
 // exprString renders a lock expression compactly for set identity and
-// messages (m.srcMu, s.stripes[i].mu, ...). It intentionally collapses
+// messages (m.endMu, s.stripes[i].mu, ...). It intentionally collapses
 // distinct index expressions: two raw acquisitions through the same set
 // expression are exactly the pattern lockorder exists to flag.
 func exprString(e ast.Expr) string {

@@ -10,7 +10,6 @@ import (
 )
 
 type maintainer struct {
-	srcMu   stripes.MutexSet // level 1
 	endMu   stripes.MutexSet // level 1
 	segs    stripes.MutexSet // level 2
 	knownMu sync.Mutex       // exclusive
@@ -52,19 +51,19 @@ func rawExtendsSet(m *maintainer, keys []uint64, buf []int) {
 }
 
 func ofLocalDouble(m *maintainer, a, b uint64) {
-	la := m.srcMu.Of(a)
-	lb := m.srcMu.Of(b)
+	la := m.endMu.Of(a)
+	lb := m.endMu.Of(b)
 	la.Lock()
-	lb.Lock() // want "second raw stripe lock on m.srcMu"
+	lb.Lock() // want "second raw stripe lock on m.endMu"
 	lb.Unlock()
 	la.Unlock()
 }
 
 func inlineOfDouble(m *maintainer, a, b uint64) {
-	m.srcMu.Of(a).Lock()
-	m.srcMu.Of(b).Lock() // want "second raw stripe lock on m.srcMu"
-	m.srcMu.Of(b).Unlock()
-	m.srcMu.Of(a).Unlock()
+	m.endMu.Of(a).Lock()
+	m.endMu.Of(b).Lock() // want "second raw stripe lock on m.endMu"
+	m.endMu.Of(b).Unlock()
+	m.endMu.Of(a).Unlock()
 }
 
 func rawInLoop(m *maintainer, keys []uint64) {
@@ -101,12 +100,12 @@ func singleRawClean(m *maintainer, i int) {
 // --- cross-level order ---
 
 func downwardClean(m *maintainer, st *Store, cs *counterStripe, i int) {
-	m.srcMu.Lock(i)
+	m.endMu.Lock(i)
 	st.segMu.Lock()
 	cs.mu.Lock()
 	cs.mu.Unlock()
 	st.segMu.Unlock()
-	m.srcMu.Unlock(i)
+	m.endMu.Unlock(i)
 }
 
 func upward(st *Store, cs *counterStripe) {
@@ -118,18 +117,18 @@ func upward(st *Store, cs *counterStripe) {
 
 func upwardStripe(m *maintainer, st *Store, i int) {
 	st.segMu.Lock()
-	m.srcMu.Lock(i) // want "acquisitions go downward only"
-	m.srcMu.Unlock(i)
+	m.endMu.Lock(i) // want "acquisitions go downward only"
+	m.endMu.Unlock(i)
 	st.segMu.Unlock()
 }
 
 func kernelFreezeClean(m *maintainer, k *kernel, st *Store, keys []uint64, buf []int, i int) {
-	m.srcMu.Lock(i)
+	m.endMu.Lock(i)
 	buf = k.segMu.LockKeys(keys, buf)
 	st.segMu.Lock()
 	st.segMu.Unlock()
 	k.segMu.UnlockSet(buf)
-	m.srcMu.Unlock(i)
+	m.endMu.Unlock(i)
 }
 
 func kernelUnderStore(k *kernel, st *Store, keys []uint64, buf []int) {
@@ -153,11 +152,11 @@ func kernelBesideSegs(m *maintainer, k *kernel, keys []uint64, buf []int, i int)
 	k.segMu.UnlockSet(buf)
 }
 
-func sameLevelCrossSet(m *maintainer, i, j int) {
-	m.srcMu.Lock(i)
-	m.endMu.Lock(j) // want "within-level multi-lock must go through an ordered primitive"
-	m.endMu.Unlock(j)
-	m.srcMu.Unlock(i)
+func sameLevelCrossSet(m, o *maintainer, i, j int) {
+	m.endMu.Lock(i)
+	o.endMu.Lock(j) // want "within-level multi-lock must go through an ordered primitive"
+	o.endMu.Unlock(j)
+	m.endMu.Unlock(i)
 }
 
 func selfDeadlock(st *Store) {

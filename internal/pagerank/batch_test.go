@@ -160,7 +160,8 @@ func TestUpdaterScratchReleased(t *testing.T) {
 	mt, _ := newMaintainer(n, Config{Eps: 0.2, R: 8, Workers: 1, Seed: 321, CompactEvery: 3})
 	mt.Bootstrap()
 	mt.ApplyEvents(gen.PowerLawChurnStream(n, 120, 0.9, 0.35, rand.New(rand.NewPCG(322, 0))))
-	checkScratchReleased(t, mt.serial)
+	_, w := repair.Serial(mt.shell)
+	checkScratchReleased(t, w)
 }
 
 // checkScratchReleased fails t if any slot of w's frozen-path or staged-tail

@@ -408,14 +408,14 @@ func TestScanCountsEveryCandidate(t *testing.T) {
 	mt := New(socialstore.New(g), Config{Eps: 0.1, R: 40, Workers: 1, Seed: 9})
 	mt.Bootstrap()
 	k := mt.Store().Candidates(0)
-	w := mt.serial
-	mt.k.Freeze(w, 0, walkstore.Unsided)
+	kern, w := repair.Serial(mt.shell)
+	kern.Freeze(w, 0, walkstore.Unsided)
 	first := supersedingFirst(w)
 	var seen int64
 	if first >= 0 {
-		_, seen = mt.k.FirstSuccessScan(w, 1, walkstore.Unsided, false, 0.5, first)
+		_, seen = kern.FirstSuccessScan(w, 1, walkstore.Unsided, false, 0.5, first)
 	}
-	mt.k.Release(w)
+	kern.Release(w)
 	if first < 0 {
 		t.Fatal("setup: no segment holds two candidates")
 	}

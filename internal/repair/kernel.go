@@ -47,11 +47,18 @@ type Config struct {
 	CompactEvery int
 }
 
-// Counters is the kernel's share of a maintainer's Counters, field for
-// field: atomics, so serialized and parallel phases share one implementation.
+// Counters is a maintainer's update-path accounting, kept by its kernel's
+// phases and its Shell: atomics, so serialized and parallel events share one
+// implementation. SlowNoops, a slow path that switches nothing, has no
+// field: a skip coin is its phase's "at least one step switches" indicator
+// and on heads the first switch is drawn before the scan, which performs it.
+// Deletions have no skip coin, as no counter tracks steps through one edge,
+// so they touch none of the arrival counters.
 type Counters struct {
-	FastSkips, EmptySkips, SlowPaths, Rerouted, Revived atomic.Int64
-	DelRerouted, DelTruncated, StepsIn, StepsOut        atomic.Int64
+	Arrivals, FastSkips, EmptySkips, SlowPaths, Rerouted, Revived atomic.Int64
+	Seeded, StepsIn, StepsOut                                     atomic.Int64
+	Deletions, DelMisses, DelRerouted, DelTruncated               atomic.Int64
+	Suspects, Swept                                               atomic.Int64
 }
 
 // Kernel runs one maintainer's repair phases over its walk store.
@@ -71,7 +78,7 @@ func New(walks *walkstore.Store, base walk.Neighborer, cfg Config) *Kernel {
 }
 
 // Worker is one update goroutine's private state: its RNG and reusable
-// buffers. A maintainer's serialized path owns one; each Pool worker its own.
+// buffers. A Shell's serialized path owns one; each Pool worker its own.
 type Worker struct {
 	RNG *rand.Rand
 	// NB samples regrown tails and seeded walks: the social store, or during

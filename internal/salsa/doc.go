@@ -31,39 +31,16 @@
 //     no reset coin before a backward step).
 //
 // A switched or revived segment keeps its prefix and regrows an alternating
-// tail through the call-accounted Social Store (walk.AppendContinueSalsa).
-// Both phases use the lossless fast path
-// (docs/DESIGN.md#3-the-lossless-wv-fast-path): one coin against (1-1/d)^k
-// with the exact sided candidate count k decides whether anything changes,
-// and on heads the first switch position is drawn truncated-geometrically,
-// so SlowNoops == 0 is an invariant. The backward phase excludes positions
-// the forward phase just regenerated — those steps were sampled on the graph
-// that already contains the new edge.
-//
-// Each phase enumerates its candidates from the walk store's
-// pending-position index (one (segment, position) hit per stored step of
-// the phase's direction at the endpoint, in the canonical ascending order
-// first-switch indices are drawn over), so a slow path costs O(hits)
-// instead of walking every visitor's full path — see
-// docs/DESIGN.md#7-the-pending-position-index. Both phases are runs of
-// internal/repair's kernel, the same code that repairs PageRank walks: an
-// arrival is repair.Kernel.Arrive on SideForward at the source, then on
-// SideBackward at the target with a zero reset probability, and the
-// kernel's worker carries the forward phase's regrown segments into the
-// backward one. The tests hold every phase bitwise to a reference that
-// scans full paths and applies each mutation at once (ref_test.go).
-//
-// Updates run serialized by default or concurrently with
-// Config.UpdateWorkers > 1: an arrival locks its (source, target) endpoint
-// stripe pair in index order — out-degree moves only on arrivals from the
-// source and in-degree only on arrivals to the target, so both degrees in
-// the write's reply still hold when the phases run — and each repair phase
-// freezes its segments under SegmentID
-// stripe locks (re-reading the index under the freeze so every hit is
-// exact), retrying against the frozen enumeration when cross-stripe
-// interference moved a counter. Per-seed reproducibility relaxes to
-// distributional equivalence, argued in
-// docs/DESIGN.md#6-concurrency-model.
+// tail through the call-accounted Social Store. Both phases are runs of
+// internal/repair's kernel with the lossless fast path
+// (docs/DESIGN.md#3-the-lossless-wv-fast-path), sequenced by its Shell
+// under the (source, target) endpoint stripe pair — the same code and event
+// loop that maintain PageRank walks. The kernel's worker carries the forward
+// phase's regrown segments into the backward one, which leaves them out:
+// they were sampled on the graph that already contains the new edge. This
+// package supplies that law and keeps the bootstrap, the estimates and the
+// queries. The tests hold every phase bitwise to a reference that scans full
+// paths and applies each mutation at once (ref_test.go).
 //
 // Deletions run the sided reverse reroute rule
 // (docs/DESIGN.md#10-deletions--windows): removing a copy of (u, v)
@@ -71,16 +48,8 @@
 // step v -> u at v with probability 1/c over the pre-removal multiplicity,
 // re-steps captures through a surviving out-edge of u (forward) or in-edge
 // of v (backward), and truncates when none survive — the asymmetric
-// revival law in reverse. The backward phase runs second and excludes the
-// positions the forward phase just regenerated; both hold the same
-// endpoint stripe pair as arrivals, so the multiplicity and degrees in the
-// removal's reply stay exact under parallel churn, and the arrival observer
-// fires after a deletion's effects exactly as after an arrival's. An update
-// reads no degree from the Social Store: arrivals and deletions alike take
-// both endpoints' degrees (and a deletion the copies left) from their one
-// write's reply (docs/DESIGN.md#1-data-flow). After a parallel deletion
-// batch the straggler sweep revisits only the deleted edges the workers'
-// walk.Recorders saw a forward or backward step cross.
+// revival law in reverse. The arrival observer fires after a deletion's
+// effects exactly as after an arrival's.
 //
 // # Personalized queries
 //
@@ -109,14 +78,4 @@
 // built on (docs/DESIGN.md#9-the-serving-tier); SetArrivalObserver is the
 // hook that tier uses to see arrivals whose repair never touched the walk
 // store.
-//
-// Index writes are phase-batched (docs/DESIGN.md#11-batching--compaction):
-// each repair phase samples its tails inline — the coin sequence is
-// bitwise the sequential one — but coalesces the resulting mutations into
-// one walkstore.ReplaceTailBatch per phase (repair.Kernel.Release), and the
-// parallel path
-// pre-groups each arrival batch by source stripe. Config.CompactEvery
-// checks the arena between batches and compacts when at least a quarter of
-// it is garbage (walkstore.Store.MaybeCompact), proven bitwise invisible by
-// the fixed-seed batch tests.
 package salsa

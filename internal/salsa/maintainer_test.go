@@ -353,17 +353,17 @@ func TestScanCountsEveryCandidate(t *testing.T) {
 	g.AddEdge(1, 0)
 	mt, _ := newMaintainer(g, Config{Eps: 0.1, R: 40, Workers: 1, Seed: 9})
 	mt.Bootstrap()
-	w := mt.serial
+	kern, w := repair.Serial(mt.shell)
 	for _, dir := range []walkstore.Side{walkstore.SideForward, walkstore.SideBackward} {
 		k := mt.Store().PendingCandidates(0, dir)
 		w.Reset()
-		mt.k.Freeze(w, 0, dir)
+		kern.Freeze(w, 0, dir)
 		first := supersedingFirst(w)
 		var seen int64
 		if first >= 0 {
-			_, seen = mt.k.FirstSuccessScan(w, 1, dir, false, 0.5, first)
+			_, seen = kern.FirstSuccessScan(w, 1, dir, false, 0.5, first)
 		}
-		mt.k.Release(w)
+		kern.Release(w)
 		if first < 0 {
 			t.Fatalf("side %d setup: no segment holds two candidates", dir)
 		}

@@ -97,9 +97,7 @@
 //
 // The store is deliberately agnostic about what a segment means: it stores
 // node paths. The PageRank maintainer stores reset walks; the SALSA
-// maintainer stores alternating walks. An optional observer receives every
-// visit mutation so callers can maintain further derived counters without a
-// second index.
+// maintainer stores alternating walks.
 //
 // Under churn (docs/DESIGN.md#10-deletions--windows) the same machinery
 // runs in reverse: deletion repairs enumerate the stored steps through the

@@ -60,17 +60,12 @@ func (l *recordingLog) LogRemove(id SegmentID) {
 	l.events = append(l.events, logEvent{kind: 'd', id: id, epochAt: l.s.Epoch()})
 }
 
-// TestSerializedStormOrdering drives a serialized mutation storm with both
-// hooks attached and checks the ordering contract each one documents: the
-// observer's visit deltas arrive at non-decreasing epochs, and the mutation
-// log sees exactly one call per epoch tick, in tick order, with batch adds
-// delivered in ascending ID order.
+// TestSerializedStormOrdering drives a serialized mutation storm with the
+// mutation log attached and checks the ordering contract it documents: one
+// call per epoch tick, in tick order, with batch adds delivered in ascending
+// ID order.
 func TestSerializedStormOrdering(t *testing.T) {
 	s := New()
-	var obsEpochs []int64
-	s.SetObserver(func(seg SegmentID, node graph.NodeID, pos int, delta int) {
-		obsEpochs = append(obsEpochs, s.Epoch())
-	})
 	rec := &recordingLog{s: s}
 	s.SetMutationLog(rec)
 
@@ -95,21 +90,13 @@ func TestSerializedStormOrdering(t *testing.T) {
 	if rec.events[0].id >= rec.events[1].id || rec.events[1].id >= rec.events[2].id {
 		t.Errorf("batch add log order not ascending by ID: %v", rec.events[:3])
 	}
-	// The hooks run inside their mutation's critical section, before the
+	// The log runs inside its mutation's critical section, before the
 	// epoch bump publishes it, so the epoch a call observes never exceeds
 	// the number of fully completed mutations — and never regresses.
 	for i := 1; i < len(rec.events); i++ {
 		if rec.events[i].epochAt < rec.events[i-1].epochAt {
 			t.Fatalf("mutation log epoch regressed at call %d: %v", i, rec.events)
 		}
-	}
-	for i := 1; i < len(obsEpochs); i++ {
-		if obsEpochs[i] < obsEpochs[i-1] {
-			t.Fatalf("observer epoch regressed at event %d", i)
-		}
-	}
-	if len(obsEpochs) == 0 {
-		t.Fatal("observer saw no visit deltas")
 	}
 }
 

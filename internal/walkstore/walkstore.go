@@ -48,16 +48,10 @@ func mustDir(d Side) {
 	}
 }
 
-// Observer is notified of visit-count mutations: delta is +1 when a segment
-// gains a visit to node at path position pos, -1 when it loses one. The
-// observer runs under the counter stripe lock of the visited node, so it may
-// fire concurrently for different nodes.
-type Observer func(seg SegmentID, node graph.NodeID, pos int, delta int)
-
-// MutationLog receives every segment mutation as a serialized feed — the
-// segment-level sibling of the per-visit Observer, shaped for write-ahead
-// logging. Each method is invoked inside the mutation's segMu critical
-// section, so calls are totally ordered and that order is a valid
+// MutationLog receives every segment mutation as a serialized feed, shaped
+// for write-ahead logging. Each method is invoked inside the mutation's
+// segMu critical section (the mutation already counted as in flight for
+// Validate), so calls are totally ordered and that order is a valid
 // linearization of the store's mutation history: replaying the calls against
 // an empty store (or a store restored to the epoch the log started at)
 // reproduces the live store's segment table bitwise, dead slots and ID
@@ -252,12 +246,11 @@ var ErrConcurrentMutation = errors.New("walkstore: concurrent mutation during Va
 // numStripes lock stripes by node, so per-node reads and updates of
 // unrelated nodes do not contend.
 type Store struct {
-	segMu     sync.RWMutex // guards arena, segs, numLive, liveNodes, observer, mlog
+	segMu     sync.RWMutex // guards arena, segs, numLive, liveNodes, mlog
 	arena     []graph.NodeID
 	segs      []segRef // indexed by SegmentID
 	numLive   int
 	liveNodes int64 // arena slots referenced by live segments
-	observer  Observer
 	mlog      MutationLog
 
 	// Global counter mirrors, updated once per completed mutation (the
@@ -375,24 +368,12 @@ func (s *Store) touchStripeLocked(st *counterStripe) {
 	s.stripeTouches.Add(1)
 }
 
-// SetObserver installs an observer for visit mutations. Must be called
-// while the store holds no live segments (fresh, or emptied for a rebuild);
-// the observer then sees every mutation.
-func (s *Store) SetObserver(o Observer) {
-	s.segMu.Lock()
-	defer s.segMu.Unlock()
-	if s.numLive != 0 {
-		panic("walkstore: SetObserver with live segments")
-	}
-	s.observer = o
-}
-
 // SetMutationLog installs (or, with nil, detaches) the segment-mutation log.
-// Unlike SetObserver it is legal on a store holding live segments — the
-// durability layer attaches a WAL to a store restored from a snapshot — but
-// the caller must guarantee no mutation is in flight (the recovery path is
-// single-threaded; a running system quiesces first), or the log would miss
-// the straddling mutation.
+// It is legal on a store holding live segments — the durability layer
+// attaches a WAL to a store restored from a snapshot — but the caller must
+// guarantee no mutation is in flight (the recovery path is single-threaded;
+// a running system quiesces first), or the log would miss the straddling
+// mutation.
 func (s *Store) SetMutationLog(l MutationLog) {
 	s.segMu.Lock()
 	defer s.segMu.Unlock()
@@ -545,7 +526,7 @@ func (s *Store) appendSegmentLocked(path []graph.NodeID, side Side) (SegmentID, 
 }
 
 // addVisitLocked records one visit of segment id to v at path position pos:
-// visit counters, stripe share, pending-position index, observer — one node
+// visit counters, stripe share and pending-position index — one node
 // lookup, then field arithmetic. The caller holds v's stripe lock and is
 // responsible for the atomic global totals (bumpTotals).
 func (s *Store) addVisitLocked(st *counterStripe, id SegmentID, v graph.NodeID, pos int, side Side) {
@@ -558,14 +539,11 @@ func (s *Store) addVisitLocked(st *counterStripe, id SegmentID, v graph.NodeID, 
 		st.sidedTotals[d]++
 	}
 	ns.pending[pendingBucket(side, pos)].add(id, int32(pos))
-	if s.observer != nil {
-		s.observer(id, v, pos, +1)
-	}
 }
 
 // removeVisitLocked is addVisitLocked's inverse; it does not drain the node
 // (callers run maybeDelete once their stripe group completes).
-func (s *Store) removeVisitLocked(st *counterStripe, ns *nodeState, id SegmentID, v graph.NodeID, pos int, side Side) {
+func (s *Store) removeVisitLocked(st *counterStripe, ns *nodeState, id SegmentID, pos int, side Side) {
 	ns.visits--
 	st.totalVisits--
 	if side >= 0 {
@@ -574,9 +552,6 @@ func (s *Store) removeVisitLocked(st *counterStripe, ns *nodeState, id SegmentID
 		st.sidedTotals[d]--
 	}
 	ns.pending[pendingBucket(side, pos)].remove(id, int32(pos))
-	if s.observer != nil {
-		s.observer(id, v, pos, -1)
-	}
 }
 
 // tailOp is one deferred counter update of a ReplaceTail/Remove, batched by
@@ -629,7 +604,7 @@ func (s *Store) applyTailOps(ops []tailOp) {
 					st.mu.Unlock()
 					panic(fmt.Sprintf("walkstore: removing absent visit of segment %d at node %d", op.id, op.v))
 				}
-				s.removeVisitLocked(st, ns, op.id, op.v, int(op.pos), op.side)
+				s.removeVisitLocked(st, ns, op.id, int(op.pos), op.side)
 				totalDelta--
 				if op.side >= 0 {
 					sidedDelta[op.side.PendingAt(int(op.pos))]--
@@ -1178,6 +1153,7 @@ func (s *Store) ReplaceTailBatch(muts []TailMutation) (removed, added int) {
 			if nonNoops == 0 {
 				s.mutators.Add(1)
 			}
+			s.logReplaceLocked(m.ID, m.Keep)
 			nonNoops++
 			rel = append(rel, relocated{old: old, r: r})
 		}
@@ -1221,12 +1197,14 @@ func (s *Store) relocate(id SegmentID, keep int, newTail []graph.NodeID) (old []
 	old, r, noop = s.relocateLocked(id, keep, newTail)
 	if !noop {
 		s.mutators.Add(1)
+		s.logReplaceLocked(id, keep)
 	}
 	return old, r, noop
 }
 
 // relocateLocked is relocate's body for a caller already holding segMu; the
-// caller owns the in-flight mutator accounting (a batch counts once).
+// caller owns the in-flight mutator accounting (a batch counts once) and
+// journals the relocation once it counts as in flight.
 func (s *Store) relocateLocked(id SegmentID, keep int, newTail []graph.NodeID) (old []graph.NodeID, r segRef, noop bool) {
 	r = s.refLocked(id)
 	if keep < 1 || keep > int(r.n) {
@@ -1242,11 +1220,17 @@ func (s *Store) relocateLocked(id SegmentID, keep int, newTail []graph.NodeID) (
 	n := keep + len(newTail)
 	s.segs[id] = segRef{off: off, n: int32(n), side: r.side, live: true}
 	s.liveNodes += int64(n) - int64(r.n)
-	if s.mlog != nil {
-		end := off + int64(n)
-		s.mlog.LogReplaceTail(id, keep, s.arena[off+int64(keep):end:end])
-	}
 	return old, r, false
+}
+
+// logReplaceLocked journals the relocation of segment id that just kept its
+// first keep nodes. The caller holds segMu.
+func (s *Store) logReplaceLocked(id SegmentID, keep int) {
+	if s.mlog != nil {
+		r := s.segs[id]
+		end := r.off + int64(r.n)
+		s.mlog.LogReplaceTail(id, keep, s.arena[r.off+int64(keep):end:end])
+	}
 }
 
 // Remove deletes a segment entirely, unwinding its visits. Used when a node

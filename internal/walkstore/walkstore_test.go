@@ -152,27 +152,6 @@ func TestAddBatch(t *testing.T) {
 	}
 }
 
-func TestObserverSeesMutations(t *testing.T) {
-	s := New()
-	var events int
-	net := map[graph.NodeID]int{}
-	s.SetObserver(func(seg SegmentID, node graph.NodeID, pos int, delta int) {
-		events++
-		net[node] += delta
-	})
-	id := s.Add(path(1, 2, 3))
-	s.ReplaceTail(id, 1, path(4))
-	s.Remove(id)
-	if events != 3+3+2 {
-		t.Fatalf("observer saw %d events, want 8", events)
-	}
-	for v, n := range net {
-		if n != 0 {
-			t.Fatalf("net visit delta for node %d is %d, want 0", v, n)
-		}
-	}
-}
-
 // TestFuzzAgainstValidate drives randomized Add/ReplaceTail/Remove and
 // checks every store invariant after each mutation — the acceptance
 // criterion for the arena layout.
@@ -229,16 +208,6 @@ func TestPanicsOnBadUse(t *testing.T) {
 	id2 := s.Add(path(3))
 	mustPanic(t, "ReplaceTail keep=0", func() { s.ReplaceTail(id2, 0, nil) })
 	mustPanic(t, "ReplaceTail keep too large", func() { s.ReplaceTail(id2, 2, nil) })
-	mustPanic(t, "SetObserver with live segments", func() { s.SetObserver(func(SegmentID, graph.NodeID, int, int) {}) })
-	// Emptied via Remove, the store accepts a fresh observer (rebuild flow)
-	// and it sees subsequent mutations.
-	s.Remove(id2)
-	seen := 0
-	s.SetObserver(func(SegmentID, graph.NodeID, int, int) { seen++ })
-	s.Add(path(4, 5))
-	if seen != 2 {
-		t.Fatalf("observer attached after rebuild saw %d events, want 2", seen)
-	}
 }
 
 // TestTerminalsAndCandidates pins the T(v) counter and the derived
