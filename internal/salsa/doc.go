@@ -59,9 +59,14 @@
 // reset law — finishes right there, for zero round trips; only when w's
 // segments are exhausted does it take bare single steps through
 // socialstore. Each stored segment is used at most once per query, keeping
-// the walks independent. Queries are read-mostly and run concurrently with
-// updates and each other: spliced paths are the store's stable arena
-// slices, per-node segment lists are per-query snapshots, the store's
+// the walks independent. A query tallies its visits and its stitching
+// cursors in scratch taken from a sync.Pool — dense per-node-ID slices with
+// a map fallback for wild IDs, reset through first-visit touched lists —
+// and keeps only compact (node, count) pairs, so it builds no map
+// (docs/DESIGN.md#4-the-theorem-8-accounting-model). Queries are
+// read-mostly and run concurrently with updates and each other: spliced
+// paths are the store's stable arena slices, per-node segment lists are
+// per-query snapshots appended into that scratch, the store's
 // mutation epoch is stamped into QueryStats, and the measured store calls
 // come from a per-query socialstore.Session — so StoreCalls == BareSteps
 // and the Theorem8Bound ceiling

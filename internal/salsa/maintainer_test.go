@@ -42,10 +42,10 @@ func TestBootstrapMatchesOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range g.Nodes() {
-		if got := len(mt.Store().OwnedSided(v, 0)); got != r {
+		if got := len(mt.Store().AppendOwnedSided(nil, v, 0)); got != r {
 			t.Fatalf("node %d owns %d forward segments, want %d", v, got, r)
 		}
-		if got := len(mt.Store().OwnedSided(v, 1)); got != r {
+		if got := len(mt.Store().AppendOwnedSided(nil, v, 1)); got != r {
 			t.Fatalf("node %d owns %d backward segments, want %d", v, got, r)
 		}
 	}
@@ -303,10 +303,10 @@ func TestSeedsNewNodesMidStream(t *testing.T) {
 		t.Fatalf("replayed graph has %d nodes, want %d", len(nodes), n)
 	}
 	for _, v := range nodes {
-		if got := len(mt.Store().OwnedSided(v, 0)); got != r {
+		if got := len(mt.Store().AppendOwnedSided(nil, v, 0)); got != r {
 			t.Fatalf("node %d owns %d forward segments, want %d", v, got, r)
 		}
-		if got := len(mt.Store().OwnedSided(v, 1)); got != r {
+		if got := len(mt.Store().AppendOwnedSided(nil, v, 1)); got != r {
 			t.Fatalf("node %d owns %d backward segments, want %d", v, got, r)
 		}
 	}

@@ -2,6 +2,8 @@ package salsa
 
 import (
 	"math/rand/v2"
+	"slices"
+	"sync"
 
 	"fastppr/internal/graph"
 	"fastppr/internal/topk"
@@ -62,44 +64,56 @@ type QueryStats struct {
 
 // Query holds the outcome of one personalized SALSA query: empirical
 // authority- and hub-side visit distributions of QueryWalks alternating
-// eps-reset walks from the source, plus the store-call accounting.
+// eps-reset walks from the source, plus the store-call accounting. The
+// counts are kept per visited node in first-visit order, unsorted: no score
+// depends on the order they are stored in, and ranking breaks ties by ID.
 type Query struct {
-	auth      map[graph.NodeID]int64
-	hub       map[graph.NodeID]int64
+	auth      []nodeCount
+	hub       []nodeCount
 	authTotal int64
 	hubTotal  int64
 	stats     QueryStats
+}
+
+// nodeCount is one node's visit count on one side of a query.
+type nodeCount struct {
+	v graph.NodeID
+	n int64
 }
 
 // Stats returns the query's cost accounting.
 func (q *Query) Stats() QueryStats { return q.stats }
 
 // Authority returns the personalized authority score of v relative to the
-// query source: the fraction of authority-side visits that landed on v.
+// query source: the fraction of authority-side visits that landed on v. It
+// scans the query's counts, O(distinct nodes visited); rank through TopK or
+// AuthorityAll rather than calling it per node.
 func (q *Query) Authority(v graph.NodeID) float64 {
-	if q.authTotal == 0 {
-		return 0
-	}
-	return float64(q.auth[v]) / float64(q.authTotal)
+	return share(q.auth, q.authTotal, v)
 }
 
 // Hub returns the personalized hub score of v relative to the query source.
+// Like Authority it scans the query's counts, O(distinct nodes visited).
 func (q *Query) Hub(v graph.NodeID) float64 {
-	if q.hubTotal == 0 {
-		return 0
+	return share(q.hub, q.hubTotal, v)
+}
+
+// share is v's count in counts divided by total, 0 when v is absent.
+func share(counts []nodeCount, total int64, v graph.NodeID) float64 {
+	for _, c := range counts {
+		if c.v == v {
+			return float64(c.n) / float64(total)
+		}
 	}
-	return float64(q.hub[v]) / float64(q.hubTotal)
+	return 0
 }
 
 // AuthorityAll returns the full personalized authority distribution. Nodes
 // never visited on the authority side are absent.
 func (q *Query) AuthorityAll() map[graph.NodeID]float64 {
 	out := make(map[graph.NodeID]float64, len(q.auth))
-	if q.authTotal == 0 {
-		return out
-	}
-	for v, x := range q.auth {
-		out[v] = float64(x) / float64(q.authTotal)
+	for _, c := range q.auth {
+		out[c.v] = float64(c.n) / float64(q.authTotal)
 	}
 	return out
 }
@@ -109,8 +123,8 @@ func (q *Query) AuthorityAll() map[graph.NodeID]float64 {
 // bit-identical to ranking AuthorityAll without building it.
 func (q *Query) TopK(k int) []topk.Item {
 	return topk.TopKShares(k, func(yield func(graph.NodeID, int64)) {
-		for v, x := range q.auth {
-			yield(v, x)
+		for _, c := range q.auth {
+			yield(c.v, c.n)
 		}
 	})
 }
@@ -131,12 +145,143 @@ func Theorem8Bound(q, stored int, eps float64) float64 {
 }
 
 // cursor is a query's stitching state at one (node, pending direction): the
-// node's stored segments usable when the pending step has that direction
-// (read once per query, so the list is a per-node snapshot) and how many of
-// them this query has consumed.
+// node's stored segments usable when the pending step has that direction,
+// snapshotted once per query into the scratch's segs[off:off+n], and how
+// many of them this query has consumed.
 type cursor struct {
-	seg  []walkstore.SegmentID
-	used int
+	v            graph.NodeID
+	off, n, used int
+}
+
+// queryDenseLimit bounds the node IDs a query scratch keeps in dense slots:
+// walkstore's dense-slot rule (docs/DESIGN.md#7-the-pending-position-index)
+// at a query's scale. IDs in [0, queryDenseLimit) index slices that grow only
+// to the highest ID a query has visited; negative and larger IDs go to a
+// map, so a wild ID costs a map hit instead of a huge slice.
+const queryDenseLimit = 1 << 22
+
+// scratch is one query's tally space, taken from scratchPool for the
+// query's duration, so concurrent queries never share one. Per dense ID it
+// holds an authority and a hub count (8 bytes each) and a cursor index per
+// direction (4 bytes each): 24 bytes per ID up to the highest ID visited,
+// at most 96 MiB at queryDenseLimit (720 KB on a 30,000-node graph). On top
+// come 32 bytes per (node, direction) cursor, 8 per node in each touched
+// list, 8 per snapshotted segment ID and a map entry per wild ID, all sized
+// by what one query visits.
+// drain leaves every slot zero again, resetting exactly the slots the query
+// used.
+type scratch struct {
+	auth, hub tally
+	// at[dir] maps a node to 1 + its cursor's index in cursors[dir]; 0 is
+	// no cursor yet. cursors[dir] is at[dir]'s touched list.
+	at      [2]slots[int32]
+	cursors [2][]cursor
+	// segs backs every cursor's owner-list snapshot.
+	segs []walkstore.SegmentID
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// cursor returns v's cursor for pending direction dir, snapshotting v's
+// stored dir-side segments into segs on the query's first visit.
+func (sc *scratch) cursor(ws *walkstore.Store, v graph.NodeID, dir walk.Direction) *cursor {
+	p := sc.at[dir].at(v)
+	if *p == 0 {
+		off := len(sc.segs)
+		sc.segs = ws.AppendOwnedSided(sc.segs, v, walkstore.Side(dir))
+		sc.cursors[dir] = append(sc.cursors[dir], cursor{v: v, off: off, n: len(sc.segs) - off})
+		*p = int32(len(sc.cursors[dir]))
+	}
+	return &sc.cursors[dir][*p-1]
+}
+
+// drain returns the authority and hub counts in first-visit order, sharing
+// one allocation, and resets the scratch for the next query.
+func (sc *scratch) drain() (auth, hub []nodeCount) {
+	out := make([]nodeCount, 0, len(sc.auth.touched)+len(sc.hub.touched))
+	out = sc.auth.drain(out)
+	na := len(out)
+	out = sc.hub.drain(out)
+	for dir := range sc.cursors {
+		for _, c := range sc.cursors[dir] {
+			*sc.at[dir].at(c.v) = 0
+		}
+		sc.at[dir].clearSparse()
+		sc.cursors[dir] = sc.cursors[dir][:0]
+	}
+	sc.segs = sc.segs[:0]
+	return out[:na:na], out[na:]
+}
+
+// tally counts one side's visits per node.
+type tally struct {
+	n       slots[int64]
+	touched []graph.NodeID // nodes with a nonzero count, in first-visit order
+}
+
+func (t *tally) add(v graph.NodeID) {
+	p := t.n.at(v)
+	if *p == 0 {
+		t.touched = append(t.touched, v)
+	}
+	*p++
+}
+
+// drain appends the counts to dst in first-visit order and zeroes them.
+func (t *tally) drain(dst []nodeCount) []nodeCount {
+	for _, v := range t.touched {
+		p := t.n.at(v)
+		dst = append(dst, nodeCount{v, *p})
+		*p = 0
+	}
+	t.n.clearSparse()
+	t.touched = t.touched[:0]
+	return dst
+}
+
+// slots maps node IDs to values by the dense-slot rule of queryDenseLimit;
+// a slot never written reads 0.
+type slots[T int32 | int64] struct {
+	dense []T
+	// sparse maps a wild ID to its slot in wild.
+	sparse map[graph.NodeID]int
+	wild   []T
+}
+
+// at returns v's slot, creating it on first use. The pointer is valid until
+// the next call.
+func (s *slots[T]) at(v graph.NodeID) *T {
+	if u := uint64(v); u < uint64(len(s.dense)) {
+		return &s.dense[u]
+	}
+	return s.grow(v)
+}
+
+func (s *slots[T]) grow(v graph.NodeID) *T {
+	if u := uint64(v); u < queryDenseLimit {
+		// Slots past len were never written, so a reslice within the
+		// capacity exposes only zeros.
+		s.dense = slices.Grow(s.dense, int(u)+1-len(s.dense))[:u+1]
+		return &s.dense[u]
+	}
+	i, ok := s.sparse[v]
+	if !ok {
+		if s.sparse == nil {
+			s.sparse = make(map[graph.NodeID]int)
+		}
+		i = len(s.wild)
+		s.sparse[v] = i
+		s.wild = append(s.wild, 0)
+	}
+	return &s.wild[i]
+}
+
+// clearSparse forgets every wild ID; dense slots are the caller's to zero.
+func (s *slots[T]) clearSparse() {
+	if len(s.wild) > 0 {
+		clear(s.sparse)
+		s.wild = s.wild[:0]
+	}
 }
 
 // Personalized runs a personalized SALSA query from source: QueryWalks
@@ -167,7 +312,9 @@ func (m *Maintainer) Personalized(source graph.NodeID) *Query {
 // result for comparison.
 func (m *Maintainer) PersonalizedStream(source graph.NodeID, stream uint64) *Query {
 	rng := rand.New(rand.NewPCG(m.cfg.Seed, stream))
-	q := m.personalized(source, rng)
+	sc := scratchPool.Get().(*scratch)
+	q := m.personalized(source, rng, sc)
+	scratchPool.Put(sc)
 	q.stats.Stream = stream
 	return q
 }
@@ -208,56 +355,44 @@ func (m *Maintainer) Authority(u, v graph.NodeID) float64 {
 	return m.Personalized(u).Authority(v)
 }
 
-func (m *Maintainer) personalized(source graph.NodeID, rng *rand.Rand) *Query {
+func (m *Maintainer) personalized(source graph.NodeID, rng *rand.Rand, sc *scratch) *Query {
 	eps := m.cfg.Eps
 	nWalks := m.cfg.queryWalks()
-	q := &Query{
-		auth: make(map[graph.NodeID]int64),
-		hub:  make(map[graph.NodeID]int64),
-	}
+	q := &Query{}
 	q.stats.Source = source
 	q.stats.Walks = nWalks
 	q.stats.StartEpoch = m.walks.Epoch()
 	q.stats.StripeMask = 1 << uint(walkstore.StripeOf(source))
 
 	sess := m.soc.NewSession()
-	stored := len(m.walks.OwnedSided(source, walkstore.SideForward))
-	// at[dir] maps a node to its cursor's index in cursors: one int64-keyed
-	// map access per walk step, none to advance a cursor. (One map per
-	// direction rather than one keyed on node<<1|dir: IDs are full int64s.)
-	at := [2]map[graph.NodeID]int32{{}, {}}
-	var cursors []cursor
+	// Every walk starts at the source's forward cursor; the length of its
+	// snapshot is the Theorem 8 input.
+	stored := sc.cursor(m.walks, source, walk.Forward).n
 
 	for w := 0; w < nWalks; w++ {
 		cur := source
 		dir := walk.Forward
-		q.hub[source]++
+		sc.hub.add(source)
 		q.hubTotal++
 		for {
 			// Every node whose state this iteration may read — its stored
 			// segment list, or its adjacency through a bare step — lands in
 			// the read footprint. Spliced path nodes are added below.
 			q.stats.StripeMask |= 1 << uint(walkstore.StripeOf(cur))
-			ci, ok := at[dir][cur]
-			if !ok {
-				ci = int32(len(cursors))
-				at[dir][cur] = ci
-				cursors = append(cursors, cursor{seg: m.walks.OwnedSided(cur, walkstore.Side(dir))})
-			}
-			if c := &cursors[ci]; c.used < len(c.seg) {
+			if c := sc.cursor(m.walks, cur, dir); c.used < c.n {
 				// Splice: the stored segment is a full sample of the walk's
 				// remainder (it ended in a reset or a dead end), so it
 				// finishes this walk with zero store calls. The path read is
 				// coherent even mid-storm: Path slices are stable snapshots.
-				p := m.walks.Path(c.seg[c.used])
+				p := m.walks.Path(sc.segs[c.off+c.used])
 				c.used++
 				for i := 1; i < len(p); i++ {
 					q.stats.StripeMask |= 1 << uint(walkstore.StripeOf(p[i]))
 					if walkstore.Side(dir).PendingAt(i) == walkstore.SideBackward {
-						q.auth[p[i]]++
+						sc.auth.add(p[i])
 						q.authTotal++
 					} else {
-						q.hub[p[i]]++
+						sc.hub.add(p[i])
 						q.hubTotal++
 					}
 				}
@@ -278,7 +413,7 @@ func (m *Maintainer) personalized(source graph.NodeID, rng *rand.Rand) *Query {
 					break
 				}
 				cur = next
-				q.auth[cur]++
+				sc.auth.add(cur)
 				q.authTotal++
 			} else {
 				next, ok := sess.RandomInNeighbor(cur, rng)
@@ -287,7 +422,7 @@ func (m *Maintainer) personalized(source graph.NodeID, rng *rand.Rand) *Query {
 					break
 				}
 				cur = next
-				q.hub[cur]++
+				sc.hub.add(cur)
 				q.hubTotal++
 			}
 			q.stats.Steps++
@@ -299,5 +434,6 @@ func (m *Maintainer) personalized(source graph.NodeID, rng *rand.Rand) *Query {
 	q.stats.StoreCalls = sess.Snapshot().Reads
 	q.stats.Theorem8Bound = Theorem8Bound(nWalks, stored, eps)
 	q.stats.EndEpoch = m.walks.Epoch()
+	q.auth, q.hub = sc.drain()
 	return q
 }

@@ -2,10 +2,12 @@ package salsa
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand/v2"
 	"slices"
+	"sync"
 	"testing"
 
 	"fastppr/internal/exact"
@@ -13,6 +15,8 @@ import (
 	"fastppr/internal/graph"
 	"fastppr/internal/stats"
 	"fastppr/internal/topk"
+	"fastppr/internal/walk"
+	"fastppr/internal/walkstore"
 )
 
 // TestPersonalizedSingleEdge is the hand-computable case: on the graph
@@ -251,5 +255,293 @@ func TestPersonalizedStreamBitwise(t *testing.T) {
 	}
 	if got := h.Sum64(); got != queryContract {
 		t.Fatalf("query fingerprint %#x, want %#x", got, uint64(queryContract))
+	}
+}
+
+// refQuery is a query's outcome as the map-based reference tallies it.
+type refQuery struct {
+	auth, hub           map[graph.NodeID]int64
+	authTotal, hubTotal int64
+	stats               QueryStats
+}
+
+// refCursor is the reference's stitching state at one (node, direction):
+// its own copy of the node's owner list.
+type refCursor struct {
+	seg  []walkstore.SegmentID
+	used int
+}
+
+// refPersonalized is the query loop as it ran before tallying into pooled
+// scratch: four maps built from empty per query and an owner-list copy per
+// cursor. It is the reference PersonalizedStream's counts, totals and
+// QueryStats are held to bitwise.
+func refPersonalized(m *Maintainer, source graph.NodeID, stream uint64) *refQuery {
+	rng := rand.New(rand.NewPCG(m.cfg.Seed, stream))
+	eps := m.cfg.Eps
+	nWalks := m.cfg.queryWalks()
+	q := &refQuery{
+		auth: make(map[graph.NodeID]int64),
+		hub:  make(map[graph.NodeID]int64),
+	}
+	q.stats.Source = source
+	q.stats.Walks = nWalks
+	q.stats.StartEpoch = m.walks.Epoch()
+	q.stats.StripeMask = 1 << uint(walkstore.StripeOf(source))
+
+	sess := m.soc.NewSession()
+	stored := len(m.walks.AppendOwnedSided(nil, source, walkstore.SideForward))
+	at := [2]map[graph.NodeID]int32{{}, {}}
+	var cursors []refCursor
+
+	for w := 0; w < nWalks; w++ {
+		cur := source
+		dir := walk.Forward
+		q.hub[source]++
+		q.hubTotal++
+		for {
+			q.stats.StripeMask |= 1 << uint(walkstore.StripeOf(cur))
+			ci, ok := at[dir][cur]
+			if !ok {
+				ci = int32(len(cursors))
+				at[dir][cur] = ci
+				cursors = append(cursors, refCursor{seg: m.walks.AppendOwnedSided(nil, cur, walkstore.Side(dir))})
+			}
+			if c := &cursors[ci]; c.used < len(c.seg) {
+				p := m.walks.Path(c.seg[c.used])
+				c.used++
+				for i := 1; i < len(p); i++ {
+					q.stats.StripeMask |= 1 << uint(walkstore.StripeOf(p[i]))
+					if walkstore.Side(dir).PendingAt(i) == walkstore.SideBackward {
+						q.auth[p[i]]++
+						q.authTotal++
+					} else {
+						q.hub[p[i]]++
+						q.hubTotal++
+					}
+				}
+				q.stats.StitchedSegments++
+				q.stats.StitchedSteps += int64(len(p) - 1)
+				q.stats.Steps += int64(len(p) - 1)
+				break
+			}
+			if dir == walk.Forward {
+				if rng.Float64() < eps {
+					break
+				}
+				next, ok := sess.RandomOutNeighbor(cur, rng)
+				q.stats.BareSteps++
+				if !ok {
+					break
+				}
+				cur = next
+				q.auth[cur]++
+				q.authTotal++
+			} else {
+				next, ok := sess.RandomInNeighbor(cur, rng)
+				q.stats.BareSteps++
+				if !ok {
+					break
+				}
+				cur = next
+				q.hub[cur]++
+				q.hubTotal++
+			}
+			q.stats.Steps++
+			dir = 1 - dir
+		}
+	}
+
+	sess.CountFetch()
+	q.stats.StoreCalls = sess.Snapshot().Reads
+	q.stats.Theorem8Bound = Theorem8Bound(nWalks, stored, eps)
+	q.stats.EndEpoch = m.walks.Epoch()
+	q.stats.Stream = stream
+	return q
+}
+
+// diffRef describes how q differs from the reference's outcome, "" if it
+// does not: every QueryStats field, both totals and every per-node count,
+// with each node listed once.
+func diffRef(q *Query, want *refQuery) string {
+	if q.stats != want.stats {
+		return fmt.Sprintf("stats %+v, reference %+v", q.stats, want.stats)
+	}
+	if q.authTotal != want.authTotal || q.hubTotal != want.hubTotal {
+		return fmt.Sprintf("totals auth %d hub %d, reference %d %d",
+			q.authTotal, q.hubTotal, want.authTotal, want.hubTotal)
+	}
+	for _, side := range []struct {
+		name string
+		got  []nodeCount
+		want map[graph.NodeID]int64
+	}{{"authority", q.auth, want.auth}, {"hub", q.hub, want.hub}} {
+		if len(side.got) != len(side.want) {
+			return fmt.Sprintf("%s: %d nodes, reference %d", side.name, len(side.got), len(side.want))
+		}
+		seen := make(map[graph.NodeID]bool, len(side.got))
+		for _, c := range side.got {
+			if seen[c.v] || c.n != side.want[c.v] {
+				return fmt.Sprintf("%s: node %d count %d (listed twice: %v), reference %d",
+					side.name, c.v, c.n, seen[c.v], side.want[c.v])
+			}
+			seen[c.v] = true
+		}
+	}
+	return ""
+}
+
+// wildID maps a dense test ID onto the three kinds of ID the query scratch
+// stores differently: negative, at or above queryDenseLimit (1 lands exactly
+// on it; the rest far above every dense limit in the tree), and unchanged
+// dense.
+func wildID(v graph.NodeID) graph.NodeID {
+	switch {
+	case v == 1:
+		return queryDenseLimit
+	case v%3 == 0:
+		return -1 - 7*v
+	case v%3 == 1:
+		return 1<<40 + v
+	}
+	return v
+}
+
+// churned bootstraps a maintainer on n nodes with IDs relabeled by id and
+// runs a fixed-seed power-law shrink-grow stream through it: the same graph
+// and stream whatever id is.
+func churned(t testing.TB, n int, id func(graph.NodeID) graph.NodeID) *Maintainer {
+	rng := rand.New(rand.NewPCG(71, 0))
+	full := gen.PreferentialAttachment(n, 4, rng)
+	events := gen.ShrinkGrowStream(gen.RandomPermutationStream(full, rng), 3, 0.25, rng)
+	g := graph.New(n)
+	for v := 0; v < n; v++ {
+		g.AddNode(id(graph.NodeID(v)))
+	}
+	mt, _ := newMaintainer(g, Config{Eps: 0.2, R: 4, Workers: 1, Seed: 72, QueryWalks: 300})
+	mt.Bootstrap()
+	for i, e := range events {
+		events[i].Edge = graph.Edge{From: id(e.Edge.From), To: id(e.Edge.To)}
+	}
+	mt.ApplyEvents(events)
+	if err := mt.Store().Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return mt
+}
+
+func denseID(v graph.NodeID) graph.NodeID { return v }
+
+// drained reports whether sc is as a query leaves it: every dense slot
+// zero, no wild ID remembered and every list empty.
+func drained(sc *scratch) bool {
+	for _, t := range []*tally{&sc.auth, &sc.hub} {
+		if slices.ContainsFunc(t.n.dense, func(x int64) bool { return x != 0 }) ||
+			len(t.n.sparse)+len(t.n.wild)+len(t.touched) != 0 {
+			return false
+		}
+	}
+	for dir, s := range sc.at {
+		if slices.ContainsFunc(s.dense, func(x int32) bool { return x != 0 }) ||
+			len(s.sparse)+len(s.wild)+len(sc.cursors[dir]) != 0 {
+			return false
+		}
+	}
+	return len(sc.segs) == 0
+}
+
+// TestPersonalizedMatchesMapReference holds the pooled-scratch tally to the
+// map-based reference bitwise: on dense IDs, on negative and out-of-range
+// IDs (the only graph in the tree that reaches the scratch's sparse slots),
+// alternating the two on one reused scratch so a slot the reset missed
+// shows up in the next query, and from four goroutines at once.
+func TestPersonalizedMatchesMapReference(t *testing.T) {
+	const n = 200
+	dense, wild := churned(t, n, denseID), churned(t, n, wildID)
+	sources := []graph.NodeID{0, 1, 2, 3, 7, n / 2, n - 1}
+
+	type job struct {
+		m    *Maintainer
+		src  graph.NodeID
+		want *refQuery
+	}
+	var jobs []job
+	for i, v := range sources {
+		stream := uint64(500 + i)
+		for _, j := range []job{{m: dense, src: v}, {m: wild, src: wildID(v)}} {
+			j.want = refPersonalized(j.m, j.src, stream)
+			jobs = append(jobs, j)
+		}
+	}
+	run := func(j job, sc *scratch) string {
+		stream := j.want.stats.Stream
+		q := j.m.personalized(j.src, rand.New(rand.NewPCG(j.m.cfg.Seed, stream)), sc)
+		q.stats.Stream = stream
+		return diffRef(q, j.want)
+	}
+
+	t.Run("pooled", func(t *testing.T) {
+		for _, j := range jobs {
+			if d := diffRef(j.m.PersonalizedStream(j.src, j.want.stats.Stream), j.want); d != "" {
+				t.Fatalf("source %d: %s", j.src, d)
+			}
+		}
+	})
+	t.Run("one_scratch_alternating", func(t *testing.T) {
+		sc := new(scratch)
+		for pass := 0; pass < 2; pass++ {
+			for _, j := range jobs {
+				if d := run(j, sc); d != "" {
+					t.Fatalf("pass %d, source %d: %s", pass, j.src, d)
+				}
+				if !drained(sc) {
+					t.Fatalf("pass %d, source %d: the scratch kept a slot, a wild ID or a list entry", pass, j.src)
+				}
+			}
+		}
+		for _, s := range []slots[int64]{sc.auth.n, sc.hub.n} {
+			if s.sparse == nil || len(s.dense) == 0 {
+				t.Fatal("the queries left a count table's dense or sparse slots unused")
+			}
+		}
+		for _, s := range sc.at {
+			if s.sparse == nil || len(s.dense) == 0 {
+				t.Fatal("the queries left a cursor table's dense or sparse slots unused")
+			}
+		}
+	})
+	t.Run("concurrent", func(t *testing.T) {
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := range jobs {
+					j := jobs[(i+3*g)%len(jobs)]
+					if d := diffRef(j.m.PersonalizedStream(j.src, j.want.stats.Stream), j.want); d != "" {
+						t.Errorf("goroutine %d, source %d: %s", g, j.src, d)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+	})
+}
+
+// TestPersonalizedAllocs gates a warmed query's allocations, TopK(100)
+// included, at the 6 measured once the tallies moved into pooled scratch and
+// the top-k collector stopped boxing items. Tallying into maps built per
+// query, copying an owner list per cursor and boxing every top-k item made
+// 183 here, and 795 per query on the benchmark's 30,000-node graph.
+func TestPersonalizedAllocs(t *testing.T) {
+	m := churned(t, 200, denseID)
+	sc := new(scratch)
+	query := func() {
+		m.personalized(7, rand.New(rand.NewPCG(m.cfg.Seed, 9)), sc).TopK(100)
+	}
+	query()
+	if got := testing.AllocsPerRun(20, query); got > 6 {
+		t.Fatalf("a warmed query with TopK(100) made %v allocations, want at most 6", got)
 	}
 }

@@ -1,7 +1,6 @@
 package topk
 
 import (
-	"container/heap"
 	"slices"
 
 	"fastppr/internal/graph"
@@ -18,7 +17,7 @@ type Item struct {
 // usable; use New.
 type Collector struct {
 	k int
-	h itemHeap
+	h []Item // a min-heap under less: h[0] is the next item to evict
 }
 
 // New returns a collector holding at most k items. k must be positive.
@@ -26,20 +25,21 @@ func New(k int) *Collector {
 	if k <= 0 {
 		panic("topk: k must be positive")
 	}
-	return &Collector{k: k, h: make(itemHeap, 0, k)}
+	return &Collector{k: k, h: make([]Item, 0, k)}
 }
 
 // Offer considers one item.
 func (c *Collector) Offer(node graph.NodeID, score float64) {
 	if len(c.h) < c.k {
-		heap.Push(&c.h, Item{node, score})
+		c.h = append(c.h, Item{node, score})
+		up(c.h, len(c.h)-1, less)
 		return
 	}
 	if less(Item{node, score}, c.h[0]) {
 		return
 	}
 	c.h[0] = Item{node, score}
-	heap.Fix(&c.h, 0)
+	down(c.h, 0, len(c.h), less)
 }
 
 // Len returns the number of items currently held.
@@ -49,8 +49,14 @@ func (c *Collector) Len() int { return len(c.h) }
 // node ID). The collector remains usable afterwards.
 func (c *Collector) Items() []Item {
 	out := append([]Item(nil), c.h...)
+	rank(out)
+	return out
+}
+
+// rank sorts items in descending score order, ties by ascending node ID.
+func rank(items []Item) {
 	// Derived from less so eviction order and ranking order cannot diverge.
-	slices.SortFunc(out, func(a, b Item) int {
+	slices.SortFunc(items, func(a, b Item) int {
 		switch {
 		case less(b, a):
 			return -1
@@ -60,7 +66,6 @@ func (c *Collector) Items() []Item {
 			return 0
 		}
 	})
-	return out
 }
 
 // TopKShares returns the k largest shares x/total of a stream of positive
@@ -72,15 +77,23 @@ func (c *Collector) Items() []Item {
 // monotone, and strictly so for counts below 2^52, whose relative gaps exceed
 // a float64 rounding step.
 func TopKShares(k int, each func(yield func(node graph.NodeID, x int64))) []Item {
-	c := New(k)
-	var total int64
+	// The collector and the running total share one heap object, and the
+	// collector's own slice is ranked in place and returned: a call
+	// allocates that object, the yield closure and the slice, whatever the
+	// stream length.
+	var acc struct {
+		c     Collector
+		total int64
+	}
+	acc.c = *New(k)
 	each(func(node graph.NodeID, x int64) {
-		c.Offer(node, float64(x))
-		total += x
+		acc.c.Offer(node, float64(x))
+		acc.total += x
 	})
-	items := c.Items()
+	items := acc.c.h
+	rank(items)
 	for i := range items {
-		items[i].Score /= float64(total)
+		items[i].Score /= float64(acc.total)
 	}
 	return items
 }
@@ -101,46 +114,37 @@ func TopK(scores map[graph.NodeID]float64, k int) []Item {
 // input map is read once at construction; later map writes do not affect the
 // stream.
 type Stream struct {
-	h maxHeap
+	h []Item // a max-heap under less: h[0] is the best remaining item
 }
 
 // NewStream returns a descending iterator over scores.
 func NewStream(scores map[graph.NodeID]float64) *Stream {
-	h := make(maxHeap, 0, len(scores))
+	h := make([]Item, 0, len(scores))
 	for v, s := range scores {
 		h = append(h, Item{v, s})
 	}
-	heap.Init(&h)
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		down(h, i, len(h), more)
+	}
 	return &Stream{h: h}
 }
 
 // Next returns the highest-scoring remaining item. ok is false when the
 // stream is exhausted.
 func (s *Stream) Next() (it Item, ok bool) {
-	if len(s.h) == 0 {
+	n := len(s.h) - 1
+	if n < 0 {
 		return Item{}, false
 	}
-	return heap.Pop(&s.h).(Item), true
+	s.h[0], s.h[n] = s.h[n], s.h[0]
+	down(s.h, 0, n, more)
+	it = s.h[n]
+	s.h = s.h[:n]
+	return it, true
 }
 
 // Len returns the number of items not yet yielded.
 func (s *Stream) Len() int { return len(s.h) }
-
-// maxHeap is itemHeap with the order reversed: the root is the best
-// remaining item under the same tie rule the Collector ranks by.
-type maxHeap []Item
-
-func (h maxHeap) Len() int            { return len(h) }
-func (h maxHeap) Less(i, j int) bool  { return less(h[j], h[i]) }
-func (h maxHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *maxHeap) Push(x interface{}) { *h = append(*h, x.(Item)) }
-func (h *maxHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
 
 // less orders items ascending by score, with higher node IDs treated as
 // smaller on ties (so the min-heap evicts the larger ID first and the
@@ -152,16 +156,38 @@ func less(a, b Item) bool {
 	return a.Node > b.Node
 }
 
-type itemHeap []Item
+// more is less reversed: the Stream's max-heap order under the same tie rule
+// the Collector ranks by.
+func more(a, b Item) bool { return less(b, a) }
 
-func (h itemHeap) Len() int            { return len(h) }
-func (h itemHeap) Less(i, j int) bool  { return less(h[i], h[j]) }
-func (h itemHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *itemHeap) Push(x interface{}) { *h = append(*h, x.(Item)) }
-func (h *itemHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+// up and down are container/heap's sift loops on a plain slice ordered by lt,
+// so no item is boxed into an interface and items move exactly as heap.Push,
+// heap.Fix, heap.Init and heap.Pop would move them.
+func up(h []Item, j int, lt func(a, b Item) bool) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !lt(h[j], h[i]) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func down(h []Item, i, n int, lt func(a, b Item) bool) {
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && lt(h[j2], h[j1]) {
+			j = j2 // right child
+		}
+		if !lt(h[j], h[i]) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }

@@ -164,3 +164,23 @@ func TestTopKSharesMatchesTopK(t *testing.T) {
 		t.Fatalf("empty stream ranked %d items", len(got))
 	}
 }
+
+// TestTopKSharesAllocs holds TopKShares to a fixed allocation count whatever
+// the stream length: the collector sifts its slice in place, so offering an
+// item boxes nothing (through container/heap, 5,000 counts at k = 100 cost
+// 105 allocations, one per item pushed).
+func TestTopKSharesAllocs(t *testing.T) {
+	rng := rand.New(rand.NewPCG(32, 0))
+	counts := make([]int64, 5000)
+	for i := range counts {
+		counts[i] = int64(1 + rng.IntN(1000))
+	}
+	each := func(yield func(graph.NodeID, int64)) {
+		for v, x := range counts {
+			yield(graph.NodeID(v), x)
+		}
+	}
+	if got := testing.AllocsPerRun(20, func() { TopKShares(100, each) }); got > 3 {
+		t.Fatalf("TopKShares over %d counts, k=100: %v allocations, want at most 3", len(counts), got)
+	}
+}

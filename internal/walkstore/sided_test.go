@@ -98,11 +98,11 @@ func TestSidedCountersBasic(t *testing.T) {
 	if got := s.PendingTerminals(2, SideBackward); got != 1 {
 		t.Fatalf("PendingTerminals(2,B)=%d want 1", got)
 	}
-	if got := s.OwnedSided(1, SideForward); len(got) != 1 || got[0] != f {
-		t.Fatalf("OwnedSided(1,F)=%v", got)
+	if got := s.AppendOwnedSided(nil, 1, SideForward); len(got) != 1 || got[0] != f {
+		t.Fatalf("AppendOwnedSided(1,F)=%v", got)
 	}
-	if got := s.OwnedSided(1, SideBackward); len(got) != 0 {
-		t.Fatalf("OwnedSided(1,B)=%v", got)
+	if got := s.AppendOwnedSided(nil, 1, SideBackward); len(got) != 0 {
+		t.Fatalf("AppendOwnedSided(1,B)=%v", got)
 	}
 	live := map[SegmentID]bool{f: true, b: true, u: true}
 	checkSided(t, s, live, []graph.NodeID{1, 2, 3})
@@ -129,7 +129,7 @@ func TestSidedReplaceTailAndRemove(t *testing.T) {
 	s.Remove(f)
 	delete(live, f)
 	checkSided(t, s, live, nodes)
-	if got := s.OwnedSided(1, SideForward); len(got) != 0 {
+	if got := s.AppendOwnedSided(nil, 1, SideForward); len(got) != 0 {
 		t.Fatalf("removed segment still in sided owner index: %v", got)
 	}
 	s.Remove(b)

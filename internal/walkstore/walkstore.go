@@ -723,17 +723,19 @@ func (s *Store) OwnedBy(u graph.NodeID) []SegmentID {
 	return nil
 }
 
-// OwnedSided returns the IDs of u's stored segments whose first step has the
-// given direction, in insertion order. The returned slice is a copy.
-func (s *Store) OwnedSided(u graph.NodeID, side Side) []SegmentID {
+// AppendOwnedSided appends to dst the IDs of u's stored segments whose first
+// step has the given direction, in insertion order, read under one stripe
+// read lock, and returns the extended slice. The appended IDs are a snapshot:
+// later mutations of u's owner list do not reach them.
+func (s *Store) AppendOwnedSided(dst []SegmentID, u graph.NodeID, side Side) []SegmentID {
 	mustDir(side)
 	st := s.stripe(u)
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	if ns := st.node(u); ns != nil {
-		return append([]SegmentID(nil), ns.ownedSided[side]...)
+		dst = append(dst, ns.ownedSided[side]...)
 	}
-	return nil
+	return dst
 }
 
 // SideOf returns the side a live segment was stored with (Unsided for plain
