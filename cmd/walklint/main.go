@@ -1,6 +1,6 @@
 // Command walklint is the repository's vettool: the internal/lint analyzer
-// suite (lockorder, atomicfield, determinism, mutationlog, docanchor)
-// behind `go vet`'s unit protocol.
+// suite (lockorder, determinism, docanchor) behind `go vet`'s unit
+// protocol.
 //
 // Usage:
 //

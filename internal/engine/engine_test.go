@@ -162,7 +162,7 @@ func TestConcurrentBuildAndUpdateStress(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		v := nodes[rng.IntN(len(nodes))]
 		store.Visits(v)
-		store.W(v)
+		store.Visitors(v)
 		for _, id := range store.OwnedBy(v) {
 			_ = store.Path(id)
 		}

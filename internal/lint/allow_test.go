@@ -87,7 +87,7 @@ func TestSlugify(t *testing.T) {
 
 func TestHeadingSlugsRealDesign(t *testing.T) {
 	// The production DESIGN.md must expose the anchors the tree's doc.go
-	// files rely on, including the section this PR adds.
+	// files rely on, including §12, which documents this suite.
 	slugs, err := headingSlugs(filepath.Join("..", "..", "docs", "DESIGN.md"))
 	if err != nil {
 		t.Fatal(err)

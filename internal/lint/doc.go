@@ -1,6 +1,6 @@
-// Package lint machine-checks the repository's concurrency, determinism,
-// and durability invariants: a suite of five analyzers built directly on
-// go/ast and go/types (no golang.org/x/tools dependency), compiled into
+// Package lint machine-checks the repository's lock-order, determinism,
+// and documentation invariants: a suite of three analyzers built directly
+// on go/ast and go/types (no golang.org/x/tools dependency), compiled into
 // the cmd/walklint vettool and run as `go vet -vettool=walklint ./...`.
 //
 // The analyzers and the contracts they hold the code to:
@@ -8,13 +8,8 @@
 //   - lockorder — the DESIGN.md#6-concurrency-model lock hierarchy: stripe
 //     mutexes multi-acquired only via LockPair/LockSet/LockKeys, no
 //     upward or same-level cross-set acquisitions.
-//   - atomicfield — a field touched via sync/atomic anywhere is touched
-//     atomically everywhere; typed atomics are never copied.
 //   - determinism — no wall clock, global rand, or order-sensitive map
 //     ranges in the replayable packages.
-//   - mutationlog — DESIGN.md#8-durability--recovery journal ordering:
-//     MutationLog hooks fire inside the segMu critical section of the
-//     mutation they record.
 //   - docanchor — every internal package has a doc.go whose DESIGN.md
 //     anchors resolve to real headings.
 //

@@ -191,13 +191,11 @@ func runFixture(t *testing.T, pkgPath string, analyzers ...*Analyzer) {
 }
 
 func TestLockOrderFixture(t *testing.T)   { runFixture(t, "lockorderfix", LockOrder) }
-func TestAtomicFieldFixture(t *testing.T) { runFixture(t, "atomicfix", AtomicField) }
 func TestDeterminismFixture(t *testing.T) { runFixture(t, "determinism", Determinism) }
 func TestDeterminismRepairFixture(t *testing.T) {
 	runFixture(t, "repair", Determinism)
 }
-func TestMutationLogFixture(t *testing.T) { runFixture(t, "mutationlogfix", MutationLog) }
-func TestAllowFixture(t *testing.T)       { runFixture(t, "allowfix", All()...) }
+func TestAllowFixture(t *testing.T) { runFixture(t, "allowfix", All()...) }
 
 func TestDocAnchorFixtures(t *testing.T) {
 	for _, pkg := range []string{

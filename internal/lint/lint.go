@@ -1,7 +1,6 @@
 // Package lint is the walklint analyzer suite: machine checks for the
 // invariants the compiler cannot see — the DESIGN.md §6 lock order, the
-// mixed-atomicity field rule, the fixed-seed determinism contract, the §8
-// mutation-log critical-section rule, and the doc.go → DESIGN.md anchor
+// fixed-seed determinism contract, and the doc.go → DESIGN.md anchor
 // discipline. See docs/DESIGN.md#12-static-analysis.
 //
 // The framework deliberately mirrors the golang.org/x/tools/go/analysis
@@ -22,7 +21,7 @@ import (
 // Version names the analyzer-suite revision. It feeds the vettool's -V
 // fingerprint and benchwalk's lint_clean provenance, so bump it whenever an
 // analyzer's findings can change.
-const Version = "walklint-1.0.0"
+const Version = "walklint-2.0.0"
 
 // An Analyzer is one named invariant check. The shape matches
 // x/tools/go/analysis.Analyzer minus facts and requires.
@@ -70,9 +69,7 @@ func (d Diagnostic) String() string {
 func All() []*Analyzer {
 	return []*Analyzer{
 		LockOrder,
-		AtomicField,
 		Determinism,
-		MutationLog,
 		DocAnchor,
 	}
 }

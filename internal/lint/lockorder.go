@@ -80,7 +80,7 @@ type ofLocal struct {
 
 func runLockOrder(pass *Pass) error {
 	for _, f := range pass.Files {
-		funcBodies(f, func(name string, doc *ast.CommentGroup, body *ast.BlockStmt) {
+		funcBodies(f, func(body *ast.BlockStmt) {
 			s := &lockOrderScan{pass: pass, ofLocals: make(map[types.Object]ofLocal)}
 			s.stmts(body.List)
 		})

@@ -1,7 +1,6 @@
 package lint
 
-// Shared lock-site classification for the lockorder and mutationlog
-// analyzers. Classification is by *shape* — struct type name, field name,
+// Lock-site classification for the lockorder analyzer. Classification is by *shape* — struct type name, field name,
 // and mutex type — rather than by import path, so the analysistest fixtures
 // can reproduce each idiom with small local packages and so the rules keep
 // working if packages move. The shapes are exactly the named lock sets of
@@ -203,44 +202,17 @@ func exprString(e ast.Expr) string {
 
 // funcBodies yields every function body in the file in source order —
 // declarations and function literals — each as an independent lock scope (a
-// goroutine body must stand on its own). visit receives the body and, for
-// declarations, the doc comment and name ("" for literals).
-func funcBodies(f *ast.File, visit func(name string, doc *ast.CommentGroup, body *ast.BlockStmt)) {
+// goroutine body must stand on its own).
+func funcBodies(f *ast.File, visit func(body *ast.BlockStmt)) {
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncDecl:
 			if n.Body != nil {
-				visit(n.Name.Name, n.Doc, n.Body)
+				visit(n.Body)
 			}
-			return true
 		case *ast.FuncLit:
-			visit("", nil, n.Body)
-			return true
+			visit(n.Body)
 		}
 		return true
 	})
-}
-
-// walkOrdered visits the nodes of body in source order, skipping nested
-// function literals (they are separate lock scopes). enter is called on
-// every node; leave is called with the same node after its children.
-func walkOrdered(body *ast.BlockStmt, enter func(ast.Node), leave func(ast.Node)) {
-	var walk func(n ast.Node)
-	walk = func(n ast.Node) {
-		if _, isLit := n.(*ast.FuncLit); isLit {
-			return
-		}
-		enter(n)
-		ast.Inspect(n, func(child ast.Node) bool {
-			if child == nil || child == n {
-				return child == n
-			}
-			walk(child)
-			return false
-		})
-		leave(n)
-	}
-	for _, stmt := range body.List {
-		walk(stmt)
-	}
 }

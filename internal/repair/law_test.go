@@ -57,7 +57,8 @@ var lawEvents = []graph.Event{
 	{Edge: graph.Edge{From: 1, To: 4}},
 }
 
-// lawRows are the two laws a Shell runs, each through its maintainer: seed
+// lawRows are the two laws a Shell runs, each through its maintainer, plus
+// the pagerank law with the store compacted after every event: seed
 // bootstraps g, applies lawEvents serialized and returns the store.
 var lawRows = []struct {
 	name  string
@@ -66,6 +67,12 @@ var lawRows = []struct {
 }{
 	{"pagerank", []walkstore.Side{walkstore.Unsided}, func(g *graph.Graph, seed uint64) *walkstore.Store {
 		mt := pagerank.New(socialstore.New(g), pagerank.Config{Eps: lawEps, R: lawR, Workers: 1, Seed: seed})
+		mt.Bootstrap()
+		mt.ApplyEvents(lawEvents)
+		return mt.Store()
+	}},
+	{"pagerank_compact", []walkstore.Side{walkstore.Unsided}, func(g *graph.Graph, seed uint64) *walkstore.Store {
+		mt := pagerank.New(socialstore.New(g), pagerank.Config{Eps: lawEps, R: lawR, Workers: 1, Seed: seed, CompactEvery: 1})
 		mt.Bootstrap()
 		mt.ApplyEvents(lawEvents)
 		return mt.Store()

@@ -39,7 +39,7 @@ func requireStoresEqual(t *testing.T, a, b *Store, live []SegmentID, nodeSpace i
 		if av, bv := a.Visits(n), b.Visits(n); av != bv {
 			t.Fatalf("Visits(%d): %d vs %d", v, av, bv)
 		}
-		if aw, bw := a.W(n), b.W(n); aw != bw {
+		if aw, bw := len(a.Visitors(n)), len(b.Visitors(n)); aw != bw {
 			t.Fatalf("W(%d): %d vs %d", v, aw, bw)
 		}
 		if at, bt := a.Terminals(n), b.Terminals(n); at != bt {

@@ -2,7 +2,11 @@ package walkstore
 
 import (
 	"errors"
+	"fmt"
+	"math/rand/v2"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"fastppr/internal/graph"
@@ -38,43 +42,105 @@ func TestEpochSemantics(t *testing.T) {
 	}
 }
 
-// logEvent is one recorded MutationLog call.
+// logEvent is one recorded MutationLog call, kept whole so the log can be
+// replayed.
 type logEvent struct {
 	kind    byte // 'a', 'r', 'd'
 	id      SegmentID
-	epochAt int64 // store epoch observed during the call
+	side    Side
+	keep    int
+	path    []graph.NodeID // LogAdd's path, LogReplaceTail's tail
+	epochAt int64          // store epoch observed during the call
 }
 
+// recordingLog is a MutationLog that records every call and, inside each
+// one, checks the docs/DESIGN.md §8 journal rule the store's helpers hold by
+// construction: segMu is write-held, the mutation is already in the segment
+// table, and it counts as in flight. A call that breaks any of the three is
+// reported by name.
 type recordingLog struct {
+	t      *testing.T
 	s      *Store
 	events []logEvent
 }
 
+// check asserts the journal rule for call; applied reports whether the
+// segment table already shows the mutation.
+func (l *recordingLog) check(call string, id SegmentID, applied func(r segRef) bool) {
+	l.t.Helper()
+	if l.s.segMu.TryRLock() {
+		l.s.segMu.RUnlock()
+		l.t.Errorf("%s ran without segMu write-held: journal order is no longer mutation order", call)
+		return // reading the segment table unlocked would race
+	}
+	if n := l.s.mutators.Load(); n < 1 {
+		l.t.Errorf("%s ran with %d mutations in flight: Validate and Dump could pass mid-mutation", call, n)
+	}
+	if int(id) >= len(l.s.segs) || !applied(l.s.segs[id]) {
+		l.t.Errorf("%s ran before its mutation reached the segment table", call)
+	}
+}
+
 func (l *recordingLog) LogAdd(id SegmentID, side Side, path []graph.NodeID) {
-	l.events = append(l.events, logEvent{kind: 'a', id: id, epochAt: l.s.Epoch()})
+	l.check(fmt.Sprintf("LogAdd(%d)", id), id, func(r segRef) bool {
+		return r.live && r.side == side && slices.Equal(l.s.pathLocked(r), path)
+	})
+	l.events = append(l.events, logEvent{kind: 'a', id: id, side: side, path: path, epochAt: l.s.Epoch()})
 }
 func (l *recordingLog) LogReplaceTail(id SegmentID, keep int, tail []graph.NodeID) {
-	l.events = append(l.events, logEvent{kind: 'r', id: id, epochAt: l.s.Epoch()})
+	l.check(fmt.Sprintf("LogReplaceTail(%d, keep=%d)", id, keep), id, func(r segRef) bool {
+		return r.live && int(r.n) == keep+len(tail) && slices.Equal(l.s.pathLocked(r)[keep:], tail)
+	})
+	l.events = append(l.events, logEvent{kind: 'r', id: id, keep: keep, path: tail, epochAt: l.s.Epoch()})
 }
 func (l *recordingLog) LogRemove(id SegmentID) {
+	l.check(fmt.Sprintf("LogRemove(%d)", id), id, func(r segRef) bool { return !r.live })
 	l.events = append(l.events, logEvent{kind: 'd', id: id, epochAt: l.s.Epoch()})
 }
 
+// replay applies the recorded calls in order to a fresh store.
+func (l *recordingLog) replay(t *testing.T) *Store {
+	t.Helper()
+	s := New()
+	for i, ev := range l.events {
+		switch ev.kind {
+		case 'a':
+			if id := s.AddSided(ev.path, ev.side); id != ev.id {
+				t.Fatalf("replayed call %d: LogAdd(%d) assigned ID %d", i, ev.id, id)
+			}
+		case 'r':
+			s.ReplaceTail(ev.id, ev.keep, ev.path)
+		case 'd':
+			s.Remove(ev.id)
+		}
+	}
+	return s
+}
+
 // TestSerializedStormOrdering drives a serialized mutation storm with the
-// mutation log attached and checks the ordering contract it documents: one
-// call per epoch tick, in tick order, with batch adds delivered in ascending
-// ID order.
+// mutation log attached through every mutating entry point and checks the
+// ordering contract it documents: one call per epoch tick, in tick order,
+// with batch adds delivered in ascending ID order, each call inside its
+// mutation's critical section (recordingLog's checks), and a log that
+// replays into the live store.
 func TestSerializedStormOrdering(t *testing.T) {
 	s := New()
-	rec := &recordingLog{s: s}
+	rec := &recordingLog{t: t, s: s}
 	s.SetMutationLog(rec)
 
 	ids := s.AddBatch([][]graph.NodeID{{1, 2, 3}, {2, 3}, {3}})
 	s.ReplaceTail(ids[0], 1, []graph.NodeID{5, 6})
 	s.Remove(ids[1])
 	s.AddSided([]graph.NodeID{1, 4}, SideBackward)
+	sided := s.AddBatchSided([][]graph.NodeID{{4, 1, 2}, {2, 5}}, SideForward)
+	s.ReplaceTailBatch([]TailMutation{
+		{ID: sided[0], Keep: 1, NewTail: []graph.NodeID{3}},
+		{ID: ids[2], Keep: 1}, // no-op: not journaled
+		{ID: ids[0], Keep: 2, NewTail: []graph.NodeID{7}},
+	})
+	s.Remove(sided[1])
 
-	wantKinds := []byte{'a', 'a', 'a', 'r', 'd', 'a'}
+	wantKinds := []byte{'a', 'a', 'a', 'r', 'd', 'a', 'a', 'a', 'r', 'r', 'd'}
 	if len(rec.events) != len(wantKinds) {
 		t.Fatalf("mutation log saw %d calls, want %d", len(rec.events), len(wantKinds))
 	}
@@ -97,6 +163,88 @@ func TestSerializedStormOrdering(t *testing.T) {
 		if rec.events[i].epochAt < rec.events[i-1].epochAt {
 			t.Fatalf("mutation log epoch regressed at call %d: %v", i, rec.events)
 		}
+	}
+	assertSameDump(t, rec.replay(t), s)
+}
+
+// TestConcurrentJournalReplays is the concurrent half of the journal rule:
+// writers churn disjoint segment sets through every mutating entry point at
+// once, and the log they interleave into, replayed in order into a fresh
+// store, must rebuild the live store's Dump — IDs, dead slots, paths and
+// epoch. A journal call outside its mutation's critical section fails
+// recordingLog's checks by name, and can let two writers' records swap so
+// that the replay diverges.
+func TestConcurrentJournalReplays(t *testing.T) {
+	const (
+		writers   = 4
+		nodeSpace = 32
+	)
+	iters := 2000
+	if testing.Short() {
+		iters = 300
+	}
+	s := New()
+	rec := &recordingLog{t: t, s: s}
+	s.SetMutationLog(rec)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewPCG(uint64(w), 7))
+			side := []Side{Unsided, SideForward, SideBackward}[w%3]
+			randPath := func(n int) []graph.NodeID {
+				p := make([]graph.NodeID, n)
+				for i := range p {
+					p[i] = graph.NodeID(rng.IntN(nodeSpace))
+				}
+				return p
+			}
+			var owned []SegmentID
+			for it := 0; it < iters; it++ {
+				switch op := rng.IntN(8); {
+				case op < 2 || len(owned) < 2:
+					owned = append(owned, s.AddBatchSided([][]graph.NodeID{randPath(1 + rng.IntN(4)), randPath(1 + rng.IntN(4))}, side)...)
+				case op < 4:
+					id := owned[rng.IntN(len(owned))]
+					s.ReplaceTail(id, 1+rng.IntN(len(s.Path(id))), randPath(rng.IntN(4)))
+				case op < 6:
+					a, b := owned[rng.IntN(len(owned))], owned[rng.IntN(len(owned))]
+					s.ReplaceTailBatch([]TailMutation{
+						{ID: a, Keep: 1, NewTail: randPath(rng.IntN(4))},
+						{ID: b, Keep: 1, NewTail: randPath(rng.IntN(4))},
+					})
+				default:
+					i := rng.IntN(len(owned))
+					s.Remove(owned[i])
+					owned = slices.Delete(owned, i, i+1)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Epoch(); got != int64(len(rec.events)) {
+		t.Fatalf("epoch %d after %d logged mutations", got, len(rec.events))
+	}
+	assertSameDump(t, rec.replay(t), s)
+}
+
+// assertSameDump fails unless got and want dump identically.
+func assertSameDump(t *testing.T, got, want *Store) {
+	t.Helper()
+	g, err := got.Dump()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := want.Dump()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(g, w) {
+		t.Fatalf("replayed log dumps differently from the live store:\n got %+v\nwant %+v", g, w)
 	}
 }
 

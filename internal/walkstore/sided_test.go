@@ -43,13 +43,18 @@ func checkSided(t *testing.T, s *Store, live map[SegmentID]bool, nodes []graph.N
 	}
 	b := bruteSided(s, live)
 	for d := Side(0); d < 2; d++ {
-		if got := s.PendingTotal(d); got != b.totals[d] {
-			t.Fatalf("PendingTotal(%d)=%d want %d", d, got, b.totals[d])
+		if _, got := s.PendingVisitFraction(0, d); got != b.totals[d] {
+			t.Fatalf("PendingVisitFraction(0,%d) total=%d want %d", d, got, b.totals[d])
 		}
-		counts, total := s.PendingVisitCounts(d)
-		if total != b.totals[d] || len(counts) != len(b.visits[d]) {
-			t.Fatalf("PendingVisitCounts(%d): %d nodes/%d total, want %d/%d",
-				d, len(counts), total, len(b.visits[d]), b.totals[d])
+		var nodesSeen int
+		var total int64
+		s.EachPendingVisitCount(d, func(_ graph.NodeID, x int64) {
+			nodesSeen++
+			total += x
+		})
+		if total != b.totals[d] || nodesSeen != len(b.visits[d]) {
+			t.Fatalf("EachPendingVisitCount(%d): %d nodes/%d total, want %d/%d",
+				d, nodesSeen, total, len(b.visits[d]), b.totals[d])
 		}
 		for _, v := range nodes {
 			if got := s.PendingVisits(v, d); got != b.visits[d][v] {
@@ -136,8 +141,8 @@ func TestSidedReplaceTailAndRemove(t *testing.T) {
 	delete(live, b)
 	checkSided(t, s, live, nodes)
 	for d := Side(0); d < 2; d++ {
-		if got := s.PendingTotal(d); got != 0 {
-			t.Fatalf("PendingTotal(%d)=%d after removing everything", d, got)
+		if _, got := s.PendingVisitFraction(0, d); got != 0 {
+			t.Fatalf("PendingVisitFraction(0,%d) total=%d after removing everything", d, got)
 		}
 	}
 }

@@ -137,7 +137,6 @@ func TestConcurrentMutatorsAndReaders(t *testing.T) {
 				}
 				v := graph.NodeID(rng.IntN(nodeSpace))
 				_ = s.Visits(v)
-				_ = s.W(v)
 				_ = s.Terminals(v)
 				_ = s.Candidates(v)
 				_, _ = s.VisitFraction(v)
@@ -195,7 +194,7 @@ func TestConcurrentSidedMutators(t *testing.T) {
 				_ = s.PendingCandidates(v, SideBackward)
 				_ = s.PendingTerminals(v, SideForward)
 				_, _ = s.PendingVisitFraction(v, SideBackward)
-				_ = s.PendingTotal(SideForward)
+				_, _ = s.PendingVisitFraction(v, SideForward)
 			}
 		}(w)
 	}
@@ -206,13 +205,10 @@ func TestConcurrentSidedMutators(t *testing.T) {
 	// The side totals must agree between the atomic globals and the
 	// per-stripe table walk.
 	for d := SideForward; d <= SideBackward; d++ {
-		counts, total := s.PendingVisitCounts(d)
 		var sum int64
-		for _, x := range counts {
-			sum += x
-		}
-		if sum != total || total != s.PendingTotal(d) {
-			t.Fatalf("side %d: counts sum %d, table total %d, atomic total %d", d, sum, total, s.PendingTotal(d))
+		s.EachPendingVisitCount(d, func(_ graph.NodeID, x int64) { sum += x })
+		if _, total := s.PendingVisitFraction(0, d); sum != total {
+			t.Fatalf("side %d: table walk sums to %d, atomic total %d", d, sum, total)
 		}
 	}
 }

@@ -50,12 +50,17 @@ func mustDir(d Side) {
 
 // MutationLog receives every segment mutation as a serialized feed, shaped
 // for write-ahead logging. Each method is invoked inside the mutation's
-// segMu critical section (the mutation already counted as in flight for
-// Validate), so calls are totally ordered and that order is a valid
-// linearization of the store's mutation history: replaying the calls against
-// an empty store (or a store restored to the epoch the log started at)
-// reproduces the live store's segment table bitwise, dead slots and ID
-// assignment included. Path and tail slices are arena-resident and stable;
+// segMu critical section, after the segment table shows the mutation and
+// with the mutation already counted as in flight for Validate, so calls are
+// totally ordered and that order is a valid linearization of the store's
+// mutation history: replaying the calls against an empty store (or a store
+// restored to the epoch the log started at) reproduces the live store's
+// segment table bitwise, dead slots and ID assignment included. The order
+// is structural: the three segMu-held helpers that change the segment table
+// (appendSegmentLocked, relocateLocked, retire) each journal the change they
+// make, so no path mutates the table without journaling in the same
+// critical section; dump_test.go's recordingLog checks all three conditions
+// inside every call. Path and tail slices are arena-resident and stable;
 // the log may retain them. Implementations must not call back into the store
 // and must not block on anything that itself mutates the store (the calls
 // run under the segment lock). See docs/DESIGN.md#8-durability--recovery.
@@ -419,9 +424,6 @@ func (s *Store) AddBatchSided(paths [][]graph.NodeID, side Side) []SegmentID {
 	s.mutators.Add(1)
 	for i, p := range paths {
 		ids[i], stored[i] = s.appendSegmentLocked(p, side)
-		if s.mlog != nil {
-			s.mlog.LogAdd(ids[i], side, stored[i])
-		}
 	}
 	s.segMu.Unlock()
 	s.indexBatch(ids, stored, side)
@@ -512,9 +514,10 @@ func (s *Store) bumpTotals(totalDelta int64, sidedDelta [2]int64) {
 	}
 }
 
-// appendSegmentLocked writes one segment into the arena and returns its ID
-// together with the arena-resident copy of the path (stable forever, safe to
-// read after the lock is released). Caller holds segMu.
+// appendSegmentLocked writes one segment into the arena, journals it, and
+// returns its ID together with the arena-resident copy of the path (stable
+// forever, safe to read after the lock is released). Caller holds segMu and
+// has counted the mutation as in flight.
 func (s *Store) appendSegmentLocked(path []graph.NodeID, side Side) (SegmentID, []graph.NodeID) {
 	id := SegmentID(len(s.segs))
 	off := int64(len(s.arena))
@@ -522,7 +525,12 @@ func (s *Store) appendSegmentLocked(path []graph.NodeID, side Side) (SegmentID, 
 	s.segs = append(s.segs, segRef{off: off, n: int32(len(path)), side: side, live: true})
 	s.numLive++
 	s.liveNodes += int64(len(path))
-	return id, s.arena[off : off+int64(len(path)) : off+int64(len(path))]
+	end := off + int64(len(path))
+	stored := s.arena[off:end:end]
+	if s.mlog != nil {
+		s.mlog.LogAdd(id, side, stored)
+	}
+	return id, stored
 }
 
 // addVisitLocked records one visit of segment id to v at path position pos:
@@ -798,14 +806,6 @@ func (s *Store) PendingCandidates(v graph.NodeID, dir Side) int64 {
 	return 0
 }
 
-// PendingTotal returns the total number of stored sided visits pending a
-// step of direction dir — the normalizer of the global hub (Forward) and
-// authority (Backward) score estimates.
-func (s *Store) PendingTotal(dir Side) int64 {
-	mustDir(dir)
-	return s.sidedTotals[dir].Load()
-}
-
 // eachCount calls fn(v, count(ns)) for every node whose count is non-zero,
 // stripe by stripe under each stripe's read lock.
 func (s *Store) eachCount(count func(ns *nodeState) int64, fn func(v graph.NodeID, x int64)) {
@@ -836,25 +836,14 @@ func (s *Store) numNodes() int {
 // EachPendingVisitCount calls fn(v, x) for every node with a non-zero
 // pending-dir visit count x, in no particular order. Each stripe is read
 // under its own lock, so the pass is per-stripe consistent and exact at a
-// quiescent point; the sum of the x is then PendingTotal(dir). Nothing is
+// quiescent point; the sum of the x is then the side total
+// PendingVisitFraction reports. Nothing is
 // allocated: a reader that only ranks or sums (a top-k query) streams the
 // table instead of copying it. fn runs under a counter stripe's read lock
 // and must not call back into the store.
 func (s *Store) EachPendingVisitCount(dir Side, fn func(v graph.NodeID, x int64)) {
 	mustDir(dir)
 	s.eachCount(func(ns *nodeState) int64 { return ns.sidedVisits[dir] }, fn)
-}
-
-// PendingVisitCounts returns a copy of the full pending-visit table for one
-// direction, together with its total: EachPendingVisitCount into a map.
-func (s *Store) PendingVisitCounts(dir Side) (counts map[graph.NodeID]int64, total int64) {
-	mustDir(dir)
-	counts = make(map[graph.NodeID]int64, s.numNodes())
-	s.EachPendingVisitCount(dir, func(v graph.NodeID, x int64) {
-		counts[v] = x
-		total += x
-	})
-	return counts, total
 }
 
 // PendingVisitFraction returns the pending-dir visit count of v together
@@ -876,8 +865,9 @@ func (s *Store) PendingVisitFraction(v graph.NodeID, dir Side) (visits, total in
 // derived from the pending-position buckets (which hold one entry per
 // visit), so it costs a sort over the visit count rather than a table read —
 // and, like AppendPendingPositions, the stripe's write lock when a bucket
-// has unfolded writes. Acceptable for its remaining callers (W and tests);
-// the hot paths consume AppendPendingPositions directly.
+// has unfolded writes. Its length is the paper's W(v), the number of
+// distinct segments visiting v. Acceptable for its remaining callers
+// (tests); the hot paths consume AppendPendingPositions directly.
 func (s *Store) Visitors(v graph.NodeID) []SegmentID {
 	var ids []SegmentID
 	s.viewPending(v, 0, pendingBuckets, func(ns *nodeState) {
@@ -887,12 +877,6 @@ func (s *Store) Visitors(v graph.NodeID) []SegmentID {
 	})
 	slices.Sort(ids)
 	return slices.Compact(ids)
-}
-
-// W returns the number of distinct segments visiting v — the paper's W(v).
-// Derived like Visitors.
-func (s *Store) W(v graph.NodeID) int {
-	return len(s.Visitors(v))
 }
 
 // Visits returns X_v, the total visit count of v across stored segments.
@@ -1152,10 +1136,6 @@ func (s *Store) ReplaceTailBatch(muts []TailMutation) (removed, added int) {
 				rel = append(rel, relocated{})
 				continue
 			}
-			if nonNoops == 0 {
-				s.mutators.Add(1)
-			}
-			s.logReplaceLocked(m.ID, m.Keep)
 			nonNoops++
 			rel = append(rel, relocated{old: old, r: r})
 		}
@@ -1184,7 +1164,7 @@ func (s *Store) ReplaceTailBatch(muts []TailMutation) (removed, added int) {
 	*relp = rel[:0]
 	relocPool.Put(relp)
 	s.epoch.Add(int64(nonNoops))
-	s.mutators.Add(-1)
+	s.mutators.Add(-int64(nonNoops))
 	return removed, added
 }
 
@@ -1196,17 +1176,13 @@ func (s *Store) ReplaceTailBatch(muts []TailMutation) (removed, added int) {
 func (s *Store) relocate(id SegmentID, keep int, newTail []graph.NodeID) (old []graph.NodeID, r segRef, noop bool) {
 	s.segMu.Lock()
 	defer s.segMu.Unlock()
-	old, r, noop = s.relocateLocked(id, keep, newTail)
-	if !noop {
-		s.mutators.Add(1)
-		s.logReplaceLocked(id, keep)
-	}
-	return old, r, noop
+	return s.relocateLocked(id, keep, newTail)
 }
 
-// relocateLocked is relocate's body for a caller already holding segMu; the
-// caller owns the in-flight mutator accounting (a batch counts once) and
-// journals the relocation once it counts as in flight.
+// relocateLocked is relocate's body for a caller already holding segMu.
+// Unless the request is a no-op it counts the relocation as in flight and
+// journals it; the caller releases one in-flight count per non-no-op entry
+// once the counter updates have landed.
 func (s *Store) relocateLocked(id SegmentID, keep int, newTail []graph.NodeID) (old []graph.NodeID, r segRef, noop bool) {
 	r = s.refLocked(id)
 	if keep < 1 || keep > int(r.n) {
@@ -1222,17 +1198,12 @@ func (s *Store) relocateLocked(id SegmentID, keep int, newTail []graph.NodeID) (
 	n := keep + len(newTail)
 	s.segs[id] = segRef{off: off, n: int32(n), side: r.side, live: true}
 	s.liveNodes += int64(n) - int64(r.n)
-	return old, r, false
-}
-
-// logReplaceLocked journals the relocation of segment id that just kept its
-// first keep nodes. The caller holds segMu.
-func (s *Store) logReplaceLocked(id SegmentID, keep int) {
+	s.mutators.Add(1)
 	if s.mlog != nil {
-		r := s.segs[id]
-		end := r.off + int64(r.n)
-		s.mlog.LogReplaceTail(id, keep, s.arena[r.off+int64(keep):end:end])
+		end := off + int64(n)
+		s.mlog.LogReplaceTail(id, keep, s.arena[off+int64(keep):end:end])
 	}
+	return old, r, false
 }
 
 // Remove deletes a segment entirely, unwinding its visits. Used when a node
@@ -1274,8 +1245,8 @@ func (s *Store) Remove(id SegmentID) {
 }
 
 // retire performs Remove's segment-table phase under the segment lock,
-// returning the (stable, still-readable) path and ref of the now-dead
-// segment.
+// counting it as in flight and journaling it, and returns the (stable,
+// still-readable) path and ref of the now-dead segment.
 func (s *Store) retire(id SegmentID) ([]graph.NodeID, segRef) {
 	s.segMu.Lock()
 	defer s.segMu.Unlock()

@@ -26,7 +26,7 @@ func TestAddReplaceRemove(t *testing.T) {
 	if got := s.Visits(2); got != 3 {
 		t.Fatalf("Visits(2)=%d want 3", got)
 	}
-	if got := s.W(2); got != 2 {
+	if got := len(s.Visitors(2)); got != 2 {
 		t.Fatalf("W(2)=%d want 2", got)
 	}
 	if got := s.TotalVisits(); got != 6 {
@@ -118,7 +118,7 @@ func TestHubVisitorSet(t *testing.T) {
 	for i := 0; i < 3*n; i++ {
 		ids = append(ids, s.Add(path(7, int64(1000+i))))
 	}
-	if got := s.W(7); got != 3*n {
+	if got := len(s.Visitors(7)); got != 3*n {
 		t.Fatalf("W(7)=%d want %d", got, 3*n)
 	}
 	if err := s.Validate(); err != nil {
@@ -127,7 +127,7 @@ func TestHubVisitorSet(t *testing.T) {
 	for _, id := range ids[:2*n] {
 		s.Remove(id)
 	}
-	if got := s.W(7); got != n {
+	if got := len(s.Visitors(7)); got != n {
 		t.Fatalf("W(7)=%d want %d", got, n)
 	}
 	if err := s.Validate(); err != nil {
