@@ -93,7 +93,8 @@ type wal struct {
 	records  int64
 	bytes    int64
 	unsynced int
-	err      error // sticky: first append/sync failure stops the log loudly
+	err      error  // sticky: first append/sync failure stops the log loudly
+	buf      []byte // one framed record, reused by every append under mu
 	cfg      Config
 
 	timerStop chan struct{}
@@ -145,20 +146,18 @@ func (w *wal) appendRec(r Rec) error {
 	if r.Kind == recCommit || r.Kind == recRemoveEdge {
 		r.Seq = w.seq // epoch of the last mutation before this marker
 	}
-	payload := encodeRec(r)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := w.bw.Write(hdr[:]); err != nil {
-		w.err = fmt.Errorf("persist: wal append: %w", err)
-		return w.err
-	}
-	if _, err := w.bw.Write(payload); err != nil {
+	// Frame into the reused buffer: an 8-byte header (payload length, CRC32)
+	// filled in once the payload is encoded behind it.
+	w.buf = encodeRec(append(w.buf[:0], make([]byte, 8)...), r)
+	payload := w.buf[8:]
+	binary.LittleEndian.PutUint32(w.buf[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(w.buf[4:8], crc32.ChecksumIEEE(payload))
+	if _, err := w.bw.Write(w.buf); err != nil {
 		w.err = fmt.Errorf("persist: wal append: %w", err)
 		return w.err
 	}
 	w.records++
-	w.bytes += int64(8 + len(payload))
+	w.bytes += int64(len(w.buf))
 	w.unsynced++
 	if r.Kind != recCommit && r.Kind != recRemoveEdge {
 		w.seq = r.Seq
@@ -209,8 +208,8 @@ func (w *wal) close() error {
 	return err
 }
 
-func encodeRec(r Rec) []byte {
-	var b []byte
+// encodeRec appends r's payload encoding to b.
+func encodeRec(b []byte, r Rec) []byte {
 	b = binary.LittleEndian.AppendUint64(b, uint64(r.Seq))
 	b = append(b, r.Kind)
 	switch r.Kind {

@@ -2,6 +2,7 @@ package salsa
 
 import (
 	"math/rand/v2"
+	"sync/atomic"
 	"testing"
 
 	"fastppr/internal/gen"
@@ -37,4 +38,49 @@ func BenchmarkPersonalized(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		benchItems = m.Personalized(sources[i%len(sources)]).TopK(100)
 	}
+}
+
+// BenchmarkPersonalizedBesideWriter is BenchmarkPersonalized with one
+// goroutine applying updates the whole time — serve_storm's read/write
+// interference in miniature. The set-up holds back a tenth of the graph's
+// edges; the writer adds them one by one as arrivals, deletes them again
+// and repeats until the timed queries are done, so the graph stays bounded
+// however long the benchmark runs. The time is per query.
+func BenchmarkPersonalizedBesideWriter(b *testing.B) {
+	const n = 3000
+	rng := rand.New(rand.NewPCG(41, 0))
+	arrivals := gen.RandomPermutationStream(gen.PreferentialAttachment(n, 8, rng), rng)
+	cut := len(arrivals) * 9 / 10
+	g := nodeGraph(n)
+	for _, e := range arrivals[:cut] {
+		g.AddEdge(e.From, e.To)
+	}
+	m, _ := newMaintainer(g, Config{Eps: 0.2, R: 8, Workers: 1, Seed: 42})
+	m.Bootstrap()
+	held := arrivals[cut:]
+	sources := make([]graph.NodeID, 64)
+	for i := range sources {
+		sources[i] = graph.NodeID(rng.IntN(n))
+	}
+	var stop atomic.Bool
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for !stop.Load() {
+			for _, e := range held {
+				m.ApplyEdge(e)
+			}
+			for _, e := range held {
+				m.ApplyDeletion(e)
+			}
+		}
+	}()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchItems = m.Personalized(sources[i%len(sources)]).TopK(100)
+	}
+	b.StopTimer()
+	stop.Store(true)
+	<-done
 }

@@ -54,11 +54,15 @@
 // of X_v, Candidates, and T(v) — with the sided index buckets enumerating
 // each.
 //
-// Storage layout. Segment paths live in one grow-only arena ([]graph.NodeID)
-// addressed by (offset, length); mutation never writes inside the occupied
-// prefix of the arena, so a path slice handed out by Path stays valid and
-// immutable for the life of the store even across ReplaceTail (which writes
-// the revised path at the arena tail and repoints the segment) — see
+// Storage layout. Segment paths live in an append-only arena of chunks
+// ([]graph.NodeID, at most 2^16 nodes each; a path never straddles two and
+// a longer path gets a chunk of its own), and each segment's place in it
+// is one packed uint64 ref — chunk index, offset, length, side, live bit —
+// in fixed blocks of atomic words. No occupied slot is written again, no
+// chunk moves and no chunk index is reused, so a path slice handed out by
+// Path stays valid and immutable for the life of the store even across
+// ReplaceTail (which writes the revised path to fresh arena space and
+// repoints the segment) — see
 // docs/DESIGN.md#2-the-arena--copy-on-truncate-invariant. Per-node state is
 // addressed by dense slots (stripe = id&63, slot = id>>6, with a sparse-map
 // fallback for IDs outside the dense range), so the hot counter touches are
@@ -67,10 +71,13 @@
 // Concurrency. All per-node state is sharded into numStripes lock stripes
 // selected by the node ID's low bits, so everything one node's skip coin
 // reads is consistent under a single stripe lock while unrelated nodes
-// mutate in parallel; the arena and segment table sit under a separate
-// segment lock, and each stripe keeps its own share of every total, which
-// Validate cross-checks against the atomic global mirrors and a recount
-// from the stored paths. Batch adds (AddBatch) and tail mutations
+// mutate in parallel; the arena and segment table have a separate segment
+// lock that serializes their writers and the quiescent passes — segment
+// reads (Path, AppendPaths, SideOf) take no lock: they load the ref and the
+// chunk directory, each published through an atomic pointer, and retry when
+// a Compact retired the chunk in between. Each stripe keeps its own share of
+// every total, which Validate cross-checks against the atomic global
+// mirrors and a recount from the stored paths. Batch adds (AddBatch) and tail mutations
 // (ReplaceTail/Remove) group their per-node updates by stripe, paying one
 // lock acquisition per touched stripe and one atomic-total update per
 // mutation. Reads are freely concurrent; mutations of distinct segments are
@@ -113,12 +120,15 @@
 // then one stripe-sorted index pass — producing identical index
 // enumerations, epochs, and WAL records to the per-call path; GroupByStripe is
 // the stable counting sort the maintainers' parallel paths use to aim
-// whole arrival slices at one stripe neighborhood. Compact rewrites the
-// live segments into a fresh arena and repoints them in place, reclaiming
-// ReplaceTail garbage (measured by ArenaStats) while bumping no epoch, no
-// stripe stamp, and no mutation-log entry — previously handed-out Path
-// slices keep reading the old arena, so the stability contract above is
-// untouched and cached query results stay valid across a compaction.
+// whole arrival slices at one stripe neighborhood; a batch is checked whole
+// before its first relocation, so a bad entry panics with the store
+// untouched. Compact rewrites the live segments into fresh chunks,
+// publishes their new refs and only then retires the old chunks,
+// reclaiming ReplaceTail garbage (measured by ArenaStats) while bumping no
+// epoch, no stripe stamp, and no mutation-log entry — previously
+// handed-out Path slices keep reading the retired chunks, so the stability
+// contract above is untouched and cached query results stay valid across a
+// compaction.
 // MaybeCompact wraps Compact behind a garbage-ratio gate — it only pays
 // for the arena copy when at least a quarter of the slots are garbage —
 // and is what the maintainers' periodic triggers call.

@@ -49,16 +49,17 @@ func (s *Store) Dump() (*Dump, error) {
 		Epoch:       s.epoch.Load(),
 		TotalVisits: s.totalVisits.Load(),
 		SidedTotals: [2]int64{s.sidedTotals[0].Load(), s.sidedTotals[1].Load()},
-		Segs:        make([]SegmentDump, len(s.segs)),
+		Segs:        make([]SegmentDump, s.nsegs),
 	}
-	for i, r := range s.segs {
-		if !r.live {
+	for i := range d.Segs {
+		r := s.refAt(SegmentID(i))
+		if !r.live() {
 			continue
 		}
 		d.Segs[i] = SegmentDump{
 			Live: true,
-			Side: r.side,
-			Path: append([]graph.NodeID(nil), s.pathLocked(r)...),
+			Side: r.side(),
+			Path: append([]graph.NodeID(nil), s.pathOf(r)...),
 		}
 	}
 	return d, nil
@@ -71,26 +72,24 @@ func (s *Store) Dump() (*Dump, error) {
 // dumped one: segment IDs (dead slots included), epoch, owner-list order
 // (per node, entries were appended in ascending-ID order on the live store,
 // which is exactly the order a single ascending pass reproduces), and every
-// counter match bitwise; only arena offsets differ, and nothing observes
-// those.
+// counter match bitwise; only arena placement differs, and nothing
+// observes that.
 func Restore(d *Dump) (*Store, error) {
 	s := New()
+	// The store is private to this goroutine until Restore returns, so no
+	// locks are taken, here or below.
 	for i, sd := range d.Segs {
 		if !sd.Live {
-			s.segs = append(s.segs, segRef{})
+			s.nsegs++ // a dead slot's ref stays zero
 			continue
 		}
-		if len(sd.Path) == 0 {
-			return nil, fmt.Errorf("walkstore: restore: live segment %d has empty path", i)
+		if len(sd.Path) == 0 || len(sd.Path) > maxSegLen {
+			return nil, fmt.Errorf("walkstore: restore: live segment %d has a path of %d nodes", i, len(sd.Path))
 		}
 		if sd.Side != Unsided && sd.Side != SideForward && sd.Side != SideBackward {
 			return nil, fmt.Errorf("walkstore: restore: segment %d has invalid side %d", i, sd.Side)
 		}
-		off := int64(len(s.arena))
-		s.arena = append(s.arena, sd.Path...)
-		s.segs = append(s.segs, segRef{off: off, n: int32(len(sd.Path)), side: sd.Side, live: true})
-		s.numLive++
-		s.liveNodes += int64(len(sd.Path))
+		s.appendSegmentLocked(sd.Path, sd.Side)
 	}
 
 	// Re-index every live segment in ascending ID order. This mirrors
@@ -106,27 +105,25 @@ func Restore(d *Dump) (*Store, error) {
 	var ops [numStripes][]restoreOp
 	var total int64
 	var sided [2]int64
-	for i := range s.segs {
-		r := s.segs[i]
-		if !r.live {
+	for i := 0; i < s.nsegs; i++ {
+		id := SegmentID(i)
+		r := s.refAt(id)
+		if !r.live() {
 			continue
 		}
-		id := SegmentID(i)
-		p := s.pathLocked(r)
+		p, side := s.pathOf(r), r.side()
 		src := p[0]
-		ops[stripeIndex(src)] = append(ops[stripeIndex(src)], restoreOp{id: id, v: src, side: r.side, kind: opOwner})
+		ops[stripeIndex(src)] = append(ops[stripeIndex(src)], restoreOp{id: id, v: src, side: side, kind: opOwner})
 		end := p[len(p)-1]
-		ops[stripeIndex(end)] = append(ops[stripeIndex(end)], restoreOp{id: id, v: end, pos: int32(len(p) - 1), side: r.side, kind: opTerminal})
+		ops[stripeIndex(end)] = append(ops[stripeIndex(end)], restoreOp{id: id, v: end, pos: int32(len(p) - 1), side: side, kind: opTerminal})
 		for pos, v := range p {
-			ops[stripeIndex(v)] = append(ops[stripeIndex(v)], restoreOp{id: id, v: v, pos: int32(pos), side: r.side, kind: opVisit})
+			ops[stripeIndex(v)] = append(ops[stripeIndex(v)], restoreOp{id: id, v: v, pos: int32(pos), side: side, kind: opVisit})
 			total++
-			if r.side >= 0 {
-				sided[r.side.PendingAt(pos)]++
+			if side >= 0 {
+				sided[side.PendingAt(pos)]++
 			}
 		}
 	}
-	// The store is private to this goroutine until Restore returns, so no
-	// locks are taken.
 	for si := range ops {
 		st := &s.stripes[si]
 		for _, op := range ops[si] {

@@ -76,25 +76,25 @@ func (l *recordingLog) check(call string, id SegmentID, applied func(r segRef) b
 	if n := l.s.mutators.Load(); n < 1 {
 		l.t.Errorf("%s ran with %d mutations in flight: Validate and Dump could pass mid-mutation", call, n)
 	}
-	if int(id) >= len(l.s.segs) || !applied(l.s.segs[id]) {
+	if int(id) >= l.s.nsegs || !applied(l.s.refAt(id)) {
 		l.t.Errorf("%s ran before its mutation reached the segment table", call)
 	}
 }
 
 func (l *recordingLog) LogAdd(id SegmentID, side Side, path []graph.NodeID) {
 	l.check(fmt.Sprintf("LogAdd(%d)", id), id, func(r segRef) bool {
-		return r.live && r.side == side && slices.Equal(l.s.pathLocked(r), path)
+		return r.live() && r.side() == side && slices.Equal(l.s.pathOf(r), path)
 	})
 	l.events = append(l.events, logEvent{kind: 'a', id: id, side: side, path: path, epochAt: l.s.Epoch()})
 }
 func (l *recordingLog) LogReplaceTail(id SegmentID, keep int, tail []graph.NodeID) {
 	l.check(fmt.Sprintf("LogReplaceTail(%d, keep=%d)", id, keep), id, func(r segRef) bool {
-		return r.live && int(r.n) == keep+len(tail) && slices.Equal(l.s.pathLocked(r)[keep:], tail)
+		return r.live() && r.n() == keep+len(tail) && slices.Equal(l.s.pathOf(r)[keep:], tail)
 	})
 	l.events = append(l.events, logEvent{kind: 'r', id: id, keep: keep, path: tail, epochAt: l.s.Epoch()})
 }
 func (l *recordingLog) LogRemove(id SegmentID) {
-	l.check(fmt.Sprintf("LogRemove(%d)", id), id, func(r segRef) bool { return !r.live })
+	l.check(fmt.Sprintf("LogRemove(%d)", id), id, func(r segRef) bool { return !r.live() })
 	l.events = append(l.events, logEvent{kind: 'd', id: id, epochAt: l.s.Epoch()})
 }
 
@@ -289,7 +289,7 @@ func TestDumpRestoreRoundTrip(t *testing.T) {
 	}
 	// The dead slot must survive the round trip so ID assignment continues
 	// identically.
-	if s2.segs[ids[1]].live {
+	if s2.refAt(ids[1]).live() {
 		t.Error("removed segment came back live after restore")
 	}
 	if g, w := s2.Add([]graph.NodeID{9}), s.Add([]graph.NodeID{9}); g != w {

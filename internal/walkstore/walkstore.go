@@ -60,10 +60,14 @@ func mustDir(d Side) {
 // (appendSegmentLocked, relocateLocked, retire) each journal the change they
 // make, so no path mutates the table without journaling in the same
 // critical section; dump_test.go's recordingLog checks all three conditions
-// inside every call. Path and tail slices are arena-resident and stable;
-// the log may retain them. Implementations must not call back into the store
-// and must not block on anything that itself mutates the store (the calls
-// run under the segment lock). See docs/DESIGN.md#8-durability--recovery.
+// inside every call. Segment reads take no lock, so a concurrent Path may
+// return a mutated path before its record is journaled, just as a counter
+// read may see the mutation's later counter phase; journal order among the
+// mutations themselves is unaffected. Path and tail slices are
+// arena-resident and stable; the log may retain them. Implementations must
+// not call back into the store and must not block on anything that itself
+// mutates the store (the calls run under the segment lock). See
+// docs/DESIGN.md#8-durability--recovery.
 type MutationLog interface {
 	// LogAdd records a stored segment: AddBatchSided emits one call per path,
 	// in ID order. The store's epoch after the mutation completes is the
@@ -77,13 +81,70 @@ type MutationLog interface {
 	LogRemove(id SegmentID)
 }
 
-// segRef addresses one segment's path inside the arena.
-type segRef struct {
-	off  int64
-	n    int32
-	side Side
-	live bool
+// Arena and segment-table geometry. Paths live in append-only chunks of at
+// most chunkCap nodes that are never moved, resized or written twice; a path
+// never straddles two chunks, and a path longer than chunkCap gets a chunk of
+// exactly its length. New chunks are sized to the live arena (between
+// minChunkCap and chunkCap), so a small store stays small and a large one
+// wastes at most one path's length at the end of each 512 KiB chunk. Segment
+// refs sit in blocks of refBlockLen atomic words.
+const (
+	chunkBits   = 16
+	chunkCap    = 1 << chunkBits
+	minChunkCap = 256
+	refBlockLen = 1 << 10
+)
+
+// segRef is one segment's packed table word, read and written atomically:
+//
+//	bit  0       live
+//	bits 1-2     side+1 (Unsided, SideForward, SideBackward)
+//	bits 3-18    offset inside the chunk (chunkBits)
+//	bits 19-40   path length (refLenBits)
+//	bits 41-63   chunk index (refChunkBits)
+//
+// The zero word is a slot never stored. Remove clears only the live bit.
+type segRef uint64
+
+const (
+	refOffShift   = 3
+	refLenShift   = refOffShift + chunkBits
+	refLenBits    = 22
+	refChunkShift = refLenShift + refLenBits
+	refChunkBits  = 64 - refChunkShift
+
+	// maxSegLen is the longest path a ref can describe.
+	maxSegLen = 1<<refLenBits - 1
+)
+
+// packRef builds a live ref, panicking when the length or chunk index does
+// not fit its field (the offset always fits: only chunks of at most chunkCap
+// nodes hold more than one path).
+func packRef(chunk, off, n int, side Side) segRef {
+	mustFitLen(n)
+	if uint64(chunk) >= 1<<refChunkBits {
+		panic(fmt.Sprintf("walkstore: chunk %d overflows the packed segment ref", chunk))
+	}
+	return segRef(uint64(chunk)<<refChunkShift | uint64(n)<<refLenShift |
+		uint64(off)<<refOffShift | uint64(side+1)<<1 | 1)
 }
+
+// mustFitLen panics on a path length a segment ref cannot hold.
+func mustFitLen(n int) {
+	if n > maxSegLen {
+		panic(fmt.Sprintf("walkstore: path of %d nodes overflows the packed segment ref", n))
+	}
+}
+
+func (r segRef) live() bool   { return r&1 != 0 }
+func (r segRef) side() Side   { return Side(int8(r>>1&3) - 1) }
+func (r segRef) off() int     { return int(r >> refOffShift & (chunkCap - 1)) }
+func (r segRef) n() int       { return int(r >> refLenShift & maxSegLen) }
+func (r segRef) chunk() int   { return int(r >> refChunkShift) }
+func (r segRef) dead() segRef { return r &^ 1 }
+
+// refBlock is one fixed-size block of the segment table.
+type refBlock [refBlockLen]atomic.Uint64
 
 const (
 	// stripeBits selects the counter stripe from a node ID's low bits;
@@ -251,11 +312,18 @@ var ErrConcurrentMutation = errors.New("walkstore: concurrent mutation during Va
 // numStripes lock stripes by node, so per-node reads and updates of
 // unrelated nodes do not contend.
 type Store struct {
-	segMu     sync.RWMutex // guards arena, segs, numLive, liveNodes, mlog
-	arena     []graph.NodeID
-	segs      []segRef // indexed by SegmentID
+	// segMu serializes the writers of the arena and segment table and the
+	// quiescent passes over them, and guards the fields below it. Segment
+	// reads (Path, AppendPaths, SideOf) take no lock: they load chunks and
+	// refs, each published through an atomic pointer.
+	segMu     sync.RWMutex
+	chunks    atomic.Pointer[[][]graph.NodeID] // by chunk index; nil once retired
+	refs      atomic.Pointer[[]*refBlock]      // by SegmentID / refBlockLen
+	nsegs     int                              // IDs assigned so far
+	fill      int                              // nodes written into the last chunk
 	numLive   int
 	liveNodes int64 // arena slots referenced by live segments
+	slots     int64 // arena slots written into unretired chunks
 	mlog      MutationLog
 
 	// Global counter mirrors, updated once per completed mutation (the
@@ -293,6 +361,8 @@ func New() *Store {
 	for i := range s.stripes {
 		s.stripes[i].sparse = make(map[graph.NodeID]*nodeState)
 	}
+	s.chunks.Store(new([][]graph.NodeID))
+	s.refs.Store(new([]*refBlock))
 	return s
 }
 
@@ -414,13 +484,13 @@ func (s *Store) AddBatchSided(paths [][]graph.NodeID, side Side) []SegmentID {
 	}
 	ids := make([]SegmentID, len(paths))
 	stored := make([][]graph.NodeID, len(paths))
-	s.segMu.Lock()
 	for _, p := range paths {
 		if len(p) == 0 {
-			s.segMu.Unlock()
 			panic("walkstore: empty segment path")
 		}
+		mustFitLen(len(p))
 	}
+	s.segMu.Lock()
 	s.mutators.Add(1)
 	for i, p := range paths {
 		ids[i], stored[i] = s.appendSegmentLocked(p, side)
@@ -519,18 +589,89 @@ func (s *Store) bumpTotals(totalDelta int64, sidedDelta [2]int64) {
 // forever, safe to read after the lock is released). Caller holds segMu and
 // has counted the mutation as in flight.
 func (s *Store) appendSegmentLocked(path []graph.NodeID, side Side) (SegmentID, []graph.NodeID) {
-	id := SegmentID(len(s.segs))
-	off := int64(len(s.arena))
-	s.arena = append(s.arena, path...)
-	s.segs = append(s.segs, segRef{off: off, n: int32(len(path)), side: side, live: true})
+	id := SegmentID(s.nsegs)
+	s.nsegs++
+	r, stored := s.writeLocked(path, nil, side)
+	s.setRefLocked(id, r)
 	s.numLive++
 	s.liveNodes += int64(len(path))
-	end := off + int64(len(path))
-	stored := s.arena[off:end:end]
 	if s.mlog != nil {
 		s.mlog.LogAdd(id, side, stored)
 	}
 	return id, stored
+}
+
+// writeLocked copies a then b into the arena as one path and returns its
+// ref and its arena-resident copy. The path goes at the end of the last
+// chunk when it fits there, else at the start of a new chunk, which is
+// published before the caller can publish a ref into it. Caller holds segMu.
+func (s *Store) writeLocked(a, b []graph.NodeID, side Side) (segRef, []graph.NodeID) {
+	n := len(a) + len(b)
+	dir := *s.chunks.Load()
+	if len(dir) == 0 || s.fill+n > len(dir[len(dir)-1]) {
+		size := min(chunkCap, max(minChunkCap, int(s.liveNodes)))
+		grown := append(dir, make([]graph.NodeID, max(n, size)))
+		s.chunks.Store(&grown)
+		dir, s.fill = grown, 0
+	}
+	last := len(dir) - 1
+	off := s.fill
+	c := dir[last][off : off+n : off+n]
+	copy(c[copy(c, a):], b)
+	s.fill += n
+	s.slots += int64(n)
+	return packRef(last, off, n, side), c
+}
+
+// setRefLocked publishes r as segment id's table word, adding ref blocks up
+// to id's first. Caller holds segMu.
+func (s *Store) setRefLocked(id SegmentID, r segRef) {
+	blocks := *s.refs.Load()
+	b := int(id / refBlockLen)
+	if b >= len(blocks) {
+		grown := blocks
+		for b >= len(grown) {
+			grown = append(grown, new(refBlock))
+		}
+		s.refs.Store(&grown)
+		blocks = grown
+	}
+	blocks[b][id%refBlockLen].Store(uint64(r))
+}
+
+// refAt returns segment id's table word: zero for an ID never assigned.
+func (s *Store) refAt(id SegmentID) segRef {
+	blocks := *s.refs.Load()
+	if b := uint64(id) / refBlockLen; b < uint64(len(blocks)) {
+		return segRef(blocks[b][uint64(id)%refBlockLen].Load())
+	}
+	return 0
+}
+
+// ref returns the live ref of id, panicking on unknown or removed segments.
+func (s *Store) ref(id SegmentID) segRef {
+	r := s.refAt(id)
+	if !r.live() {
+		unknownSegment(id)
+	}
+	return r
+}
+
+func unknownSegment(id SegmentID) {
+	panic(fmt.Sprintf("walkstore: unknown segment %d", id))
+}
+
+// pathOf returns the arena window r addresses, capacity-clamped so callers
+// cannot append into the arena, or nil when Compact has retired r's chunk:
+// Compact publishes every moved ref before it retires a chunk, so a reader
+// that gets nil reloads the ref and finds the path in its new place.
+func (s *Store) pathOf(r segRef) []graph.NodeID {
+	c := (*s.chunks.Load())[r.chunk()]
+	if c == nil {
+		return nil
+	}
+	off, end := r.off(), r.off()+r.n()
+	return c[off:end:end]
 }
 
 // addVisitLocked records one visit of segment id to v at path position pos:
@@ -678,44 +819,35 @@ func sortOpsByStripe(ops []tailOp) {
 	tailOpPool.Put(tmpp)
 }
 
-// refLocked returns the live segRef for id, panicking on unknown or removed
-// segments. Caller holds segMu.
-func (s *Store) refLocked(id SegmentID) segRef {
-	if id < 0 || int(id) >= len(s.segs) || !s.segs[id].live {
-		panic(fmt.Sprintf("walkstore: unknown segment %d", id))
-	}
-	return s.segs[id]
-}
-
-// pathLocked returns the arena window of a live segment, capacity-clamped so
-// callers cannot append into the arena.
-func (s *Store) pathLocked(r segRef) []graph.NodeID {
-	return s.arena[r.off : r.off+int64(r.n) : r.off+int64(r.n)]
-}
-
 // Path returns the segment's node path. The returned slice must not be
-// modified, but it is stable: the arena is grow-only and ReplaceTail writes
-// revised paths to fresh arena space, so the slice keeps its contents even
-// after later mutations of the same segment. This stability is what lets
-// concurrent readers (the query layer's splices, the maintainers' scans)
-// hold a coherent path with no copy while mutations continue.
+// modified, but it is stable: no arena slot is written twice and
+// ReplaceTail writes revised paths to fresh arena space, so the slice keeps
+// its contents even after later mutations of the same segment or a Compact.
+// This stability is what lets concurrent readers (the query layer's
+// splices, the maintainers' scans) hold a coherent path with no copy while
+// mutations continue. Path takes no lock: it loads the segment's ref and
+// the chunk directory, retrying when a Compact retired the chunk between
+// the two loads.
 func (s *Store) Path(id SegmentID) []graph.NodeID {
-	s.segMu.RLock()
-	defer s.segMu.RUnlock()
-	return s.pathLocked(s.refLocked(id))
+	for {
+		r := s.refAt(id)
+		if !r.live() {
+			unknownSegment(id)
+		}
+		if p := s.pathOf(r); p != nil {
+			return p
+		}
+	}
 }
 
-// AppendPaths appends the paths of ids to dst (reset first) under a single
-// segment-lock acquisition — the repair scans' bulk fetch, one lock for a
-// whole frozen segment set instead of one per segment. The returned slices
-// carry Path's stability guarantee.
+// AppendPaths appends the paths of ids to dst (reset first) — the repair
+// scans' bulk fetch of a whole frozen segment set. The returned slices carry
+// Path's stability guarantee.
 func (s *Store) AppendPaths(dst [][]graph.NodeID, ids []SegmentID) [][]graph.NodeID {
 	dst = dst[:0]
-	s.segMu.RLock()
 	for _, id := range ids {
-		dst = append(dst, s.pathLocked(s.refLocked(id)))
+		dst = append(dst, s.Path(id))
 	}
-	s.segMu.RUnlock()
 	return dst
 }
 
@@ -747,11 +879,9 @@ func (s *Store) AppendOwnedSided(dst []SegmentID, u graph.NodeID, side Side) []S
 }
 
 // SideOf returns the side a live segment was stored with (Unsided for plain
-// reset walks).
+// reset walks). Like Path, it takes no lock.
 func (s *Store) SideOf(id SegmentID) Side {
-	s.segMu.RLock()
-	defer s.segMu.RUnlock()
-	return s.refLocked(id).side
+	return s.ref(id).side()
 }
 
 // PendingVisits returns the number of stored sided visits to v whose pending
@@ -958,13 +1088,14 @@ func (s *Store) NumSegments() int {
 	return s.numLive
 }
 
-// ArenaStats reports the arena's live and total node slots. The difference
-// is garbage left behind by ReplaceTail/Remove; a future compaction pass can
-// reclaim it when the ratio degrades.
+// ArenaStats reports the arena's live and total node slots: the slots live
+// segments reference and the slots written into unretired chunks. The
+// difference is garbage left behind by ReplaceTail/Remove, which Compact
+// reclaims.
 func (s *Store) ArenaStats() (live, total int64) {
 	s.segMu.RLock()
 	defer s.segMu.RUnlock()
-	return s.liveNodes, int64(len(s.arena))
+	return s.liveNodes, s.slots
 }
 
 // compactMinGarbageFrac is the garbage fraction below which MaybeCompact
@@ -991,38 +1122,44 @@ func (s *Store) MaybeCompact() bool {
 	return true
 }
 
-// Compact rewrites every live segment's path into a fresh, densely packed
-// arena (in segment-ID order) and drops the old one, reclaiming the garbage
-// ReplaceTail and Remove leave behind. It changes no logical state: no
-// visit moves, no counter changes, Epoch()/StripeEpoch stamps stay put, and
-// nothing is written to the mutation log — a compaction commutes with
+// Compact rewrites every live segment's path into fresh, densely packed
+// chunks (in segment-ID order) and retires the old ones, reclaiming the
+// garbage ReplaceTail and Remove leave behind. It changes no logical state:
+// no visit moves, no counter changes, Epoch()/StripeEpoch stamps stay put,
+// and nothing is written to the mutation log — a compaction commutes with
 // replaying the log, so WAL sequence numbers and checkpoint epochs are
-// unaffected. The stable-Path contract survives because previously returned
-// slices keep pointing into the old arena's backing array, which is never
-// written again (the garbage collector retains it while any such slice is
-// live); reads after Compact serve the same bytes from the new arena.
-// Safe to call concurrently with readers and with mutations of other
-// phases — it takes the segment lock exclusively, so no arena write can
-// overlap it. Returns the live slot count and the number reclaimed.
+// unaffected. It holds segMu for writing, so no other writer overlaps it,
+// but readers go on: every moved ref is published before any old chunk is
+// retired, so a reader that finds its chunk retired reloads the ref and
+// reads the new copy. The stable-Path contract survives because previously
+// returned slices keep pointing into the old chunks, which are never
+// written again (the garbage collector retains them while any such slice
+// is live), and a retired chunk's index is never reused. Returns the live
+// slot count and the number reclaimed.
 func (s *Store) Compact() (live, reclaimed int64) {
 	s.segMu.Lock()
 	defer s.segMu.Unlock()
-	old := int64(len(s.arena))
+	old := s.slots
 	if old == s.liveNodes {
 		return s.liveNodes, 0
 	}
-	fresh := make([]graph.NodeID, 0, s.liveNodes)
-	for i := range s.segs {
-		r := &s.segs[i]
-		if !r.live {
-			continue
+	// Seal the last chunk so every copy lands in a fresh one.
+	dir := *s.chunks.Load()
+	retired := len(dir)
+	s.fill = len(dir[retired-1])
+	s.slots = 0
+	for i := 0; i < s.nsegs; i++ {
+		id := SegmentID(i)
+		if r := s.refAt(id); r.live() {
+			moved, _ := s.writeLocked(s.pathOf(r), nil, r.side())
+			s.setRefLocked(id, moved)
 		}
-		off := int64(len(fresh))
-		fresh = append(fresh, s.arena[r.off:r.off+int64(r.n)]...)
-		r.off = off
 	}
-	s.arena = fresh
-	return s.liveNodes, old - int64(len(fresh))
+	dir = *s.chunks.Load()
+	kept := make([][]graph.NodeID, len(dir))
+	copy(kept[retired:], dir[retired:])
+	s.chunks.Store(&kept)
+	return s.liveNodes, old - s.slots
 }
 
 // ReplaceTail truncates the segment to its first keep nodes (keep >= 1) and
@@ -1033,12 +1170,12 @@ func (s *Store) Compact() (live, reclaimed int64) {
 // ReplaceTail/Remove calls on the same segment must be serialized by the
 // caller; calls on distinct segments may run concurrently.
 func (s *Store) ReplaceTail(id SegmentID, keep int, newTail []graph.NodeID) (removed, added int) {
-	old, r, noop := s.relocate(id, keep, newTail)
-	if noop {
+	old, side := s.relocate(id, keep, newTail)
+	if old == nil {
 		return 0, 0
 	}
 	opsp := tailOpPool.Get().(*[]tailOp)
-	ops, removed, added := appendTailOps((*opsp)[:0], id, keep, newTail, old, r)
+	ops, removed, added := appendTailOps((*opsp)[:0], id, keep, newTail, old, side)
 	s.applyTailOps(ops)
 	*opsp = ops[:0]
 	tailOpPool.Put(opsp)
@@ -1051,34 +1188,34 @@ func (s *Store) ReplaceTail(id SegmentID, keep int, newTail []graph.NodeID) (rem
 // canonical order: terminal hand-off (when the endpoint moved), sided
 // terminal hand-off, visit removals descending from the old end down to
 // keep, then tail additions ascending. Returns ops plus the removed/added
-// visit counts. old and r are the pre-relocation path and ref.
-func appendTailOps(ops []tailOp, id SegmentID, keep int, newTail []graph.NodeID, old []graph.NodeID, r segRef) (_ []tailOp, removed, added int) {
+// visit counts. old is the pre-relocation path, side the segment's side.
+func appendTailOps(ops []tailOp, id SegmentID, keep int, newTail []graph.NodeID, old []graph.NodeID, side Side) (_ []tailOp, removed, added int) {
 	n := keep + len(newTail)
 	newEnd := old[keep-1]
 	if len(newTail) > 0 {
 		newEnd = newTail[len(newTail)-1]
 	}
-	oldEnd := old[r.n-1]
+	oldEnd := old[len(old)-1]
 	if oldEnd != newEnd {
 		ops = append(ops,
-			tailOp{id: id, v: oldEnd, kind: tailTermDec, side: r.side},
-			tailOp{id: id, v: newEnd, kind: tailTermInc, side: r.side})
+			tailOp{id: id, v: oldEnd, kind: tailTermDec, side: side},
+			tailOp{id: id, v: newEnd, kind: tailTermInc, side: side})
 	}
-	if r.side >= 0 {
-		oldD := r.side.PendingAt(int(r.n) - 1)
-		newD := r.side.PendingAt(n - 1)
+	if side >= 0 {
+		oldD := side.PendingAt(len(old) - 1)
+		newD := side.PendingAt(n - 1)
 		if oldEnd != newEnd || oldD != newD {
 			ops = append(ops,
-				tailOp{id: id, v: oldEnd, kind: tailSidedDec, d: oldD, side: r.side},
-				tailOp{id: id, v: newEnd, kind: tailSidedInc, d: newD, side: r.side})
+				tailOp{id: id, v: oldEnd, kind: tailSidedDec, d: oldD, side: side},
+				tailOp{id: id, v: newEnd, kind: tailSidedInc, d: newD, side: side})
 		}
 	}
-	for pos := int(r.n) - 1; pos >= keep; pos-- {
-		ops = append(ops, tailOp{id: id, v: old[pos], pos: int32(pos), kind: tailVisitRemove, side: r.side})
+	for pos := len(old) - 1; pos >= keep; pos-- {
+		ops = append(ops, tailOp{id: id, v: old[pos], pos: int32(pos), kind: tailVisitRemove, side: side})
 		removed++
 	}
 	for i, v := range newTail {
-		ops = append(ops, tailOp{id: id, v: v, pos: int32(keep + i), kind: tailVisitAdd, side: r.side})
+		ops = append(ops, tailOp{id: id, v: v, pos: int32(keep + i), kind: tailVisitAdd, side: side})
 		added++
 	}
 	return ops, removed, added
@@ -1095,11 +1232,14 @@ type TailMutation struct {
 // relocated carries one batch entry's arena-phase result into the op-build
 // phase; a no-op entry keeps old == nil.
 type relocated struct {
-	old []graph.NodeID
-	r   segRef
+	old  []graph.NodeID
+	side Side
 }
 
-var relocPool = sync.Pool{New: func() any { b := make([]relocated, 0, 16); return &b }}
+var (
+	relocPool    = sync.Pool{New: func() any { b := make([]relocated, 0, 16); return &b }}
+	batchLenPool = sync.Pool{New: func() any { return make(map[SegmentID]int) }}
+)
 
 // ReplaceTailBatch applies a sequence of tail replacements as one bulk
 // mutation. The arena rewrites and mutation-log records of the whole batch
@@ -1112,10 +1252,11 @@ var relocPool = sync.Pool{New: func() any { b := make([]relocated, 0, 16); retur
 // per entry in order, and the epoch advances by the number of non-no-op
 // entries exactly as the sequential calls would have. Entries may span
 // segments of different sides, and mutating the same segment twice in one
-// batch is legal (later entries see earlier ones' effects). Like
-// ReplaceTail, concurrent mutations of any segment in the batch must be
-// serialized by the caller. Returns the batch's total removed and added
-// visit counts.
+// batch is legal (later entries see earlier ones' effects). The whole batch
+// is checked before any entry is applied, so an entry ReplaceTail would
+// reject panics with the store untouched. Like ReplaceTail, concurrent
+// mutations of any segment in the batch must be serialized by the caller.
+// Returns the batch's total removed and added visit counts.
 func (s *Store) ReplaceTailBatch(muts []TailMutation) (removed, added int) {
 	if len(muts) == 0 {
 		return 0, 0
@@ -1129,15 +1270,14 @@ func (s *Store) ReplaceTailBatch(muts []TailMutation) (removed, added int) {
 	s.segMu.Lock()
 	func() {
 		defer s.segMu.Unlock()
+		s.checkBatchLocked(muts)
 		for i := range muts {
 			m := &muts[i]
-			old, r, noop := s.relocateLocked(m.ID, m.Keep, m.NewTail)
-			if noop {
-				rel = append(rel, relocated{})
-				continue
+			old, side := s.relocateLocked(m.ID, m.Keep, m.NewTail)
+			if old != nil {
+				nonNoops++
 			}
-			nonNoops++
-			rel = append(rel, relocated{old: old, r: r})
+			rel = append(rel, relocated{old: old, side: side})
 		}
 	}()
 	if nonNoops == 0 {
@@ -1154,7 +1294,7 @@ func (s *Store) ReplaceTailBatch(muts []TailMutation) (removed, added int) {
 		}
 		m := &muts[i]
 		var rm, ad int
-		ops, rm, ad = appendTailOps(ops, m.ID, m.Keep, m.NewTail, re.old, re.r)
+		ops, rm, ad = appendTailOps(ops, m.ID, m.Keep, m.NewTail, re.old, re.side)
 		removed += rm
 		added += ad
 	}
@@ -1168,12 +1308,44 @@ func (s *Store) ReplaceTailBatch(muts []TailMutation) (removed, added int) {
 	return removed, added
 }
 
+// checkBatchLocked panics on the first entry of muts that relocateLocked
+// would reject, judging each entry against its segment's length after the
+// batch's earlier entries, so a bad batch is refused before it writes
+// anything. Caller holds segMu.
+func (s *Store) checkBatchLocked(muts []TailMutation) {
+	lens := batchLenPool.Get().(map[SegmentID]int)
+	defer func() {
+		for i := range muts {
+			delete(lens, muts[i].ID)
+		}
+		batchLenPool.Put(lens)
+	}()
+	for i := range muts {
+		m := &muts[i]
+		n, ok := lens[m.ID]
+		if !ok {
+			n = s.ref(m.ID).n()
+		}
+		checkTail(n, m.Keep, len(m.NewTail))
+		lens[m.ID] = m.Keep + len(m.NewTail)
+	}
+}
+
+// checkTail panics unless a segment of n nodes can keep its first keep and
+// take tail more.
+func checkTail(n, keep, tail int) {
+	if keep < 1 || keep > n {
+		panic(fmt.Sprintf("walkstore: ReplaceTail keep=%d out of range for len=%d", keep, n))
+	}
+	mustFitLen(keep + tail)
+}
+
 // relocate performs ReplaceTail's arena phase under the segment lock: it
 // validates the request and, unless it is a no-op, writes prefix copy plus
-// new tail at the arena's end and repoints the segment. The returned old
+// new tail to fresh arena space and repoints the segment. The returned old
 // path is the pre-relocation arena window — never written again, so reading
-// it after the lock drops is safe.
-func (s *Store) relocate(id SegmentID, keep int, newTail []graph.NodeID) (old []graph.NodeID, r segRef, noop bool) {
+// it after the lock drops is safe; it is nil for a no-op.
+func (s *Store) relocate(id SegmentID, keep int, newTail []graph.NodeID) (old []graph.NodeID, side Side) {
 	s.segMu.Lock()
 	defer s.segMu.Unlock()
 	return s.relocateLocked(id, keep, newTail)
@@ -1183,27 +1355,21 @@ func (s *Store) relocate(id SegmentID, keep int, newTail []graph.NodeID) (old []
 // Unless the request is a no-op it counts the relocation as in flight and
 // journals it; the caller releases one in-flight count per non-no-op entry
 // once the counter updates have landed.
-func (s *Store) relocateLocked(id SegmentID, keep int, newTail []graph.NodeID) (old []graph.NodeID, r segRef, noop bool) {
-	r = s.refLocked(id)
-	if keep < 1 || keep > int(r.n) {
-		panic(fmt.Sprintf("walkstore: ReplaceTail keep=%d out of range for len=%d", keep, r.n))
+func (s *Store) relocateLocked(id SegmentID, keep int, newTail []graph.NodeID) (old []graph.NodeID, side Side) {
+	r := s.ref(id)
+	checkTail(r.n(), keep, len(newTail))
+	if keep == r.n() && len(newTail) == 0 {
+		return nil, r.side()
 	}
-	if keep == int(r.n) && len(newTail) == 0 {
-		return nil, r, true
-	}
-	old = s.pathLocked(r)
-	off := int64(len(s.arena))
-	s.arena = append(s.arena, old[:keep]...)
-	s.arena = append(s.arena, newTail...)
-	n := keep + len(newTail)
-	s.segs[id] = segRef{off: off, n: int32(n), side: r.side, live: true}
-	s.liveNodes += int64(n) - int64(r.n)
+	old = s.pathOf(r)
+	moved, stored := s.writeLocked(old[:keep], newTail, r.side())
+	s.setRefLocked(id, moved)
+	s.liveNodes += int64(len(stored) - len(old))
 	s.mutators.Add(1)
 	if s.mlog != nil {
-		end := off + int64(n)
-		s.mlog.LogReplaceTail(id, keep, s.arena[off+int64(keep):end:end])
+		s.mlog.LogReplaceTail(id, keep, stored[keep:])
 	}
-	return old, r, false
+	return old, r.side()
 }
 
 // Remove deletes a segment entirely, unwinding its visits. Used when a node
@@ -1211,15 +1377,15 @@ func (s *Store) relocateLocked(id SegmentID, keep int, newTail []graph.NodeID) (
 // ReplaceTail, concurrent mutations of the same segment must be serialized
 // by the caller.
 func (s *Store) Remove(id SegmentID) {
-	p, r := s.retire(id)
+	p, side := s.retire(id)
 	opsp := tailOpPool.Get().(*[]tailOp)
 	ops := (*opsp)[:0]
-	ops = append(ops, tailOp{id: id, v: p[len(p)-1], kind: tailTermDec, side: r.side})
-	if r.side >= 0 {
-		ops = append(ops, tailOp{id: id, v: p[len(p)-1], kind: tailSidedDec, d: r.side.PendingAt(len(p) - 1), side: r.side})
+	ops = append(ops, tailOp{id: id, v: p[len(p)-1], kind: tailTermDec, side: side})
+	if side >= 0 {
+		ops = append(ops, tailOp{id: id, v: p[len(p)-1], kind: tailSidedDec, d: side.PendingAt(len(p) - 1), side: side})
 	}
 	for pos := len(p) - 1; pos >= 0; pos-- {
-		ops = append(ops, tailOp{id: id, v: p[pos], pos: int32(pos), kind: tailVisitRemove, side: r.side})
+		ops = append(ops, tailOp{id: id, v: p[pos], pos: int32(pos), kind: tailVisitRemove, side: side})
 	}
 	s.applyTailOps(ops)
 	*opsp = ops[:0]
@@ -1232,9 +1398,9 @@ func (s *Store) Remove(id SegmentID) {
 		if i := slices.Index(ns.owned, id); i >= 0 {
 			ns.owned = slices.Delete(ns.owned, i, i+1)
 		}
-		if r.side >= 0 {
-			if i := slices.Index(ns.ownedSided[r.side], id); i >= 0 {
-				ns.ownedSided[r.side] = slices.Delete(ns.ownedSided[r.side], i, i+1)
+		if side >= 0 {
+			if i := slices.Index(ns.ownedSided[side], id); i >= 0 {
+				ns.ownedSided[side] = slices.Delete(ns.ownedSided[side], i, i+1)
 			}
 		}
 		st.maybeDelete(src, ns)
@@ -1246,20 +1412,20 @@ func (s *Store) Remove(id SegmentID) {
 
 // retire performs Remove's segment-table phase under the segment lock,
 // counting it as in flight and journaling it, and returns the (stable,
-// still-readable) path and ref of the now-dead segment.
-func (s *Store) retire(id SegmentID) ([]graph.NodeID, segRef) {
+// still-readable) path and side of the now-dead segment.
+func (s *Store) retire(id SegmentID) ([]graph.NodeID, Side) {
 	s.segMu.Lock()
 	defer s.segMu.Unlock()
-	r := s.refLocked(id)
+	r := s.ref(id)
 	s.mutators.Add(1)
-	p := s.pathLocked(r)
-	s.segs[id].live = false
+	p := s.pathOf(r)
+	s.setRefLocked(id, r.dead())
 	s.numLive--
-	s.liveNodes -= int64(r.n)
+	s.liveNodes -= int64(r.n())
 	if s.mlog != nil {
 		s.mlog.LogRemove(id)
 	}
-	return p, r
+	return p, r.side()
 }
 
 // Validate checks the visit counters, pending-position index, arena
@@ -1307,40 +1473,42 @@ func (s *Store) Validate() error {
 	}
 	var total, live int64
 	numLive := 0
-	for i := range s.segs {
-		r := s.segs[i]
-		if !r.live {
+	dir := *s.chunks.Load()
+	for i := 0; i < s.nsegs; i++ {
+		id := SegmentID(i)
+		r := s.refAt(id)
+		if !r.live() {
 			continue
 		}
 		numLive++
-		id := SegmentID(i)
-		if r.n <= 0 {
+		if r.n() <= 0 {
 			return fmt.Errorf("walkstore: segment %d has empty path", id)
 		}
-		if r.off < 0 || r.off+int64(r.n) > int64(len(s.arena)) {
-			return fmt.Errorf("walkstore: segment %d ref (%d,%d) outside arena of %d", id, r.off, r.n, len(s.arena))
+		if r.chunk() >= len(dir) || r.off()+r.n() > len(dir[r.chunk()]) {
+			return fmt.Errorf("walkstore: segment %d ref (chunk %d, %d, %d) outside its chunk of %d chunks", id, r.chunk(), r.off(), r.n(), len(dir))
 		}
-		p := s.pathLocked(r)
+		p := s.pathOf(r)
 		live += int64(len(p))
+		side := r.side()
 		wantTerminals[p[len(p)-1]]++
 		for pos, v := range p {
 			wantVisits[v]++
 			total++
-			if r.side >= 0 {
-				d := r.side.PendingAt(pos)
+			if side >= 0 {
+				d := side.PendingAt(pos)
 				wantSidedVisits[d][v]++
 				wantSidedTotals[d]++
 			}
-			b := pendingBucket(r.side, pos)
+			b := pendingBucket(side, pos)
 			if wantPending[b][v] == nil {
 				wantPending[b][v] = make(map[PosHit]bool)
 			}
 			wantPending[b][v][PosHit{Seg: id, Pos: int32(pos)}] = true
 		}
-		if r.side >= 0 {
-			wantSidedTerminals[r.side.PendingAt(len(p)-1)][p[len(p)-1]]++
+		if side >= 0 {
+			wantSidedTerminals[side.PendingAt(len(p)-1)][p[len(p)-1]]++
 			ns := s.stripe(p[0]).node(p[0])
-			if ns == nil || !slices.Contains(ns.ownedSided[r.side], id) {
+			if ns == nil || !slices.Contains(ns.ownedSided[side], id) {
 				return fmt.Errorf("walkstore: segment %d missing from sided owner index of node %d", id, p[0])
 			}
 		}
@@ -1354,6 +1522,9 @@ func (s *Store) Validate() error {
 	}
 	if live != s.liveNodes {
 		return fmt.Errorf("walkstore: liveNodes=%d want %d", s.liveNodes, live)
+	}
+	if s.slots < live {
+		return fmt.Errorf("walkstore: %d arena slots written for %d live", s.slots, live)
 	}
 	if got := s.totalVisits.Load(); got != total {
 		return fmt.Errorf("walkstore: totalVisits=%d want %d", got, total)
@@ -1503,15 +1674,15 @@ func (s *Store) ValidateSteps(hasEdge func(from, to graph.NodeID) bool) error {
 	if n := s.mutators.Load(); n != 0 {
 		return fmt.Errorf("%w: %d segment mutations in flight", ErrConcurrentMutation, n)
 	}
-	for i := range s.segs {
-		r := s.segs[i]
-		if !r.live {
+	for i := 0; i < s.nsegs; i++ {
+		r := s.refAt(SegmentID(i))
+		if !r.live() {
 			continue
 		}
-		p := s.pathLocked(r)
+		p := s.pathOf(r)
 		for pos := 0; pos < len(p)-1; pos++ {
 			from, to := p[pos], p[pos+1]
-			if r.side >= 0 && r.side.PendingAt(pos) == SideBackward {
+			if r.side() >= 0 && r.side().PendingAt(pos) == SideBackward {
 				from, to = to, from
 			}
 			if !hasEdge(from, to) {
