@@ -14,8 +14,9 @@ import (
 )
 
 // This file covers the chunked arena and the one-word segment table:
-// segment reads that take no lock, paths that never straddle a chunk, the
-// ref packing's limits, and ReplaceTailBatch refusing a bad batch whole.
+// segment reads that take no lock, paths that never straddle a chunk, arena
+// generations, the ref packing's limits, and ReplaceTailBatch refusing a
+// bad batch whole.
 
 // TestSegmentReadsTakeNoLock holds segMu for writing — as a writer or
 // Compact would — and requires Path, AppendPaths and SideOf to return
@@ -173,6 +174,9 @@ func TestLockFreeReadsSeeWholeVersions(t *testing.T) {
 	}
 }
 
+// chunksOf returns the current arena generation's chunk directory.
+func chunksOf(s *Store) [][]graph.NodeID { return *s.arena.Load().chunks.Load() }
+
 // seq returns n consecutive node IDs starting at from.
 func seq(from, n int) []graph.NodeID {
 	p := make([]graph.NodeID, n)
@@ -200,7 +204,7 @@ func TestPathsNeverStraddleChunks(t *testing.T) {
 			t.Fatalf("segment %d at (chunk %d, offset %d), want (%d, %d)", w.id, r.chunk(), r.off(), w.chunk, w.off)
 		}
 	}
-	if n := len((*s.chunks.Load())[0]); n != minChunkCap {
+	if n := len(chunksOf(s)[0]); n != minChunkCap {
 		t.Fatalf("first chunk holds %d slots, want %d", n, minChunkCap)
 	}
 	// A relocation that no longer fits chunk 1's remainder moves to chunk 2.
@@ -226,7 +230,7 @@ func TestPathLongerThanChunk(t *testing.T) {
 	small := s.Add(seq(0, 3))
 	long := s.AddSided(seq(10, chunkCap+5), SideBackward)
 	after := s.Add(seq(20, 2))
-	dir := *s.chunks.Load()
+	dir := chunksOf(s)
 	r := s.refAt(long)
 	if r.chunk() != 1 || r.off() != 0 || r.n() != chunkCap+5 || len(dir[1]) != chunkCap+5 {
 		t.Fatalf("long path at (chunk %d, offset %d, length %d) in a chunk of %d", r.chunk(), r.off(), r.n(), len(dir[1]))
@@ -236,8 +240,8 @@ func TestPathLongerThanChunk(t *testing.T) {
 	}
 	held := s.Path(long)
 	s.ReplaceTail(long, chunkCap+5, path(7))
-	if r := s.refAt(long); r.off() != 0 || len((*s.chunks.Load())[r.chunk()]) != chunkCap+6 {
-		t.Fatalf("relocated long path at offset %d in a chunk of %d", r.off(), len((*s.chunks.Load())[r.chunk()]))
+	if r := s.refAt(long); r.off() != 0 || len(chunksOf(s)[r.chunk()]) != chunkCap+6 {
+		t.Fatalf("relocated long path at offset %d in a chunk of %d", r.off(), len(chunksOf(s)[r.chunk()]))
 	}
 	if !slices.Equal(held, seq(10, chunkCap+5)) {
 		t.Fatal("held long path changed")
@@ -256,34 +260,38 @@ func TestPathLongerThanChunk(t *testing.T) {
 	}
 }
 
-// TestCompactRetiresChunks checks that Compact retires every old chunk,
-// never reuses a chunk index, and leaves a reader that loaded a ref before
-// the compaction able to find the path after it.
-func TestCompactRetiresChunks(t *testing.T) {
+// TestCompactStartsFreshGeneration checks that Compact swaps in a new arena
+// generation that numbers its chunks from zero, and that a reader that
+// loaded the old generation before the compaction still resolves its refs
+// there.
+func TestCompactStartsFreshGeneration(t *testing.T) {
 	s := New()
 	var ids []SegmentID
 	for i := 0; i < 40; i++ {
 		ids = append(ids, s.Add(seq(100*i, 1+i%7)))
 	}
-	for _, id := range ids[:20] {
-		s.ReplaceTail(id, 1, path(9, 9))
+	for i := 0; i < 60; i++ {
+		s.ReplaceTail(ids[i%20], 1, seq(5000+i, 200))
 	}
-	stale := s.refAt(ids[30])
-	before := len(*s.chunks.Load())
-	s.Compact()
-	dir := *s.chunks.Load()
-	for i := 0; i < before; i++ {
-		if dir[i] != nil {
-			t.Fatalf("chunk %d not retired by Compact", i)
-		}
+	old := s.arena.Load()
+	stale := old.refAt(ids[30])
+	if n := len(*old.chunks.Load()); n < 3 {
+		t.Fatalf("churn wrote %d chunks, want several", n)
 	}
-	for _, id := range ids {
-		if c := s.refAt(id).chunk(); c < before {
-			t.Fatalf("segment %d still in retired chunk %d", id, c)
-		}
+	live, reclaimed := s.Compact()
+	if s.arena.Load() == old {
+		t.Fatal("Compact did not swap the arena generation")
 	}
-	if s.pathOf(stale) != nil {
-		t.Fatal("a ref into a retired chunk resolved")
+	// The new generation's first chunk is sized to the live arena, so every
+	// live path lands in chunk 0.
+	if n := len(chunksOf(s)); n != 1 {
+		t.Fatalf("compacted generation has %d chunks for %d live slots", n, live)
+	}
+	if _, total := s.ArenaStats(); total != live || reclaimed <= 0 {
+		t.Fatalf("after Compact: %d slots for %d live, %d reclaimed", total, live, reclaimed)
+	}
+	if !slices.Equal(old.pathOf(stale), seq(3000, 1+30%7)) || !slices.Equal(old.pathOf(old.refAt(ids[0])), append(seq(0, 1), seq(5040, 200)...)) {
+		t.Fatal("a ref of the old generation no longer resolves there")
 	}
 	if !slices.Equal(s.Path(ids[30]), seq(3000, 1+30%7)) {
 		t.Fatal("Path after Compact")
@@ -293,22 +301,72 @@ func TestCompactRetiresChunks(t *testing.T) {
 	}
 }
 
-// TestSegRefPacking round-trips the packed ref at its field limits and pins
-// the overflow guard, which panics as packEntry's does.
+// TestChunkIndicesDoNotGrowWithLifetime churns a small store through
+// thousands of compactions, writing far more than its live size: every
+// generation restarts its chunk indices, so the highest index in use stays
+// that of one generation's churn, however long the store lives.
+func TestChunkIndicesDoNotGrowWithLifetime(t *testing.T) {
+	const segs, every = 20, 9
+	rounds := 20000
+	if testing.Short() {
+		rounds = 4000
+	}
+	s := New()
+	for i := 0; i < segs; i++ {
+		s.Add(versionPath(i, 0))
+	}
+	rng := rand.New(rand.NewPCG(3, 3))
+	ver := make([]int, segs)
+	var written int64
+	compactions, highest := 0, 0
+	for round := 1; round <= rounds; round++ {
+		seg := rng.IntN(segs)
+		ver[seg]++
+		tail := versionPath(seg, ver[seg])[1:]
+		s.ReplaceTail(SegmentID(seg), 1, tail)
+		written += int64(1 + len(tail))
+		highest = max(highest, s.refAt(SegmentID(seg)).chunk())
+		if round%every == 0 {
+			if _, reclaimed := s.Compact(); reclaimed > 0 {
+				compactions++
+			}
+		}
+	}
+	live, _ := s.ArenaStats()
+	if written < 100*live || compactions < rounds/every/2 {
+		t.Fatalf("wrote %d slots over %d live in %d compactions: churn too light to show anything", written, live, compactions)
+	}
+	if highest > 1 {
+		t.Fatalf("chunk index reached %d after %d compactions; a generation of %d live slots needs at most 2 chunks", highest, compactions, live)
+	}
+	for seg := 0; seg < segs; seg++ {
+		if got := s.Path(SegmentID(seg)); !slices.Equal(got, versionPath(seg, ver[seg])) {
+			t.Fatalf("segment %d ends as %v, want version %d", seg, got, ver[seg])
+		}
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSegRefPacking round-trips the packed ref at its field limits, long
+// paths included, and pins the overflow guard, which panics as packEntry's
+// does.
 func TestSegRefPacking(t *testing.T) {
 	for _, c := range []struct{ chunk, off, n int }{
-		{0, 0, 1}, {1<<refChunkBits - 1, chunkCap - 1, maxSegLen}, {5, 17, 3},
+		{0, 0, 1}, {1<<refChunkBits - 1, chunkCap - 1, 1}, {7, 0, chunkCap}, {5, 17, 3},
+		{3, 0, chunkCap + 1}, {1<<refChunkBits - 1, 0, maxSegLen},
 	} {
 		for _, side := range []Side{Unsided, SideForward, SideBackward} {
 			r := packRef(c.chunk, c.off, c.n, side)
-			if !r.live() || r.chunk() != c.chunk || r.off() != c.off || r.n() != c.n || r.side() != side {
+			if !r.live() || r.chunk() != c.chunk || r.off() != c.off || r.n() != c.n || r.side() != side || r.long() != (c.n > chunkCap) {
 				t.Fatalf("%+v side %d packs to %#x, unpacks to (%d, %d, %d, %d, live %v)",
 					c, side, uint64(r), r.chunk(), r.off(), r.n(), r.side(), r.live())
 			}
-			if d := r.dead(); d.live() || d.n() != c.n || d.side() != side {
-				t.Fatalf("%+v side %d: dead ref %#x", c, side, uint64(d))
-			}
 		}
+	}
+	if segRef(0).live() {
+		t.Fatal("the zero word reads as live")
 	}
 	mustPanic(t, "length maxSegLen+1", func() { packRef(0, 0, maxSegLen+1, Unsided) })
 	mustPanic(t, "chunk 1<<refChunkBits", func() { packRef(1<<refChunkBits, 0, 1, Unsided) })

@@ -58,11 +58,12 @@
 // ([]graph.NodeID, at most 2^16 nodes each; a path never straddles two and
 // a longer path gets a chunk of its own), and each segment's place in it
 // is one packed uint64 ref — chunk index, offset, length, side, live bit —
-// in fixed blocks of atomic words. No occupied slot is written again, no
-// chunk moves and no chunk index is reused, so a path slice handed out by
-// Path stays valid and immutable for the life of the store even across
-// ReplaceTail (which writes the revised path to fresh arena space and
-// repoints the segment) — see
+// in fixed blocks of atomic words. Chunks and table make up one arena
+// generation; Compact starts the next. No occupied slot is written again,
+// no chunk moves and no chunk index is reused within a generation, so a
+// path slice handed out by Path stays valid and immutable for the life of
+// the store even across ReplaceTail (which writes the revised path to
+// fresh arena space and repoints the segment) — see
 // docs/DESIGN.md#2-the-arena--copy-on-truncate-invariant. Per-node state is
 // addressed by dense slots (stripe = id&63, slot = id>>6, with a sparse-map
 // fallback for IDs outside the dense range), so the hot counter touches are
@@ -73,9 +74,9 @@
 // reads is consistent under a single stripe lock while unrelated nodes
 // mutate in parallel; the arena and segment table have a separate segment
 // lock that serializes their writers and the quiescent passes — segment
-// reads (Path, AppendPaths, SideOf) take no lock: they load the ref and the
-// chunk directory, each published through an atomic pointer, and retry when
-// a Compact retired the chunk in between. Each stripe keeps its own share of
+// reads (Path, AppendPaths, SideOf) take no lock: they load the arena
+// generation, then the ref and the chunk directory from it, each published
+// through an atomic pointer. Each stripe keeps its own share of
 // every total, which Validate cross-checks against the atomic global
 // mirrors and a recount from the stored paths. Batch adds (AddBatch) and tail mutations
 // (ReplaceTail/Remove) group their per-node updates by stripe, paying one
@@ -122,13 +123,15 @@
 // the stable counting sort the maintainers' parallel paths use to aim
 // whole arrival slices at one stripe neighborhood; a batch is checked whole
 // before its first relocation, so a bad entry panics with the store
-// untouched. Compact rewrites the live segments into fresh chunks,
-// publishes their new refs and only then retires the old chunks,
-// reclaiming ReplaceTail garbage (measured by ArenaStats) while bumping no
-// epoch, no stripe stamp, and no mutation-log entry — previously
-// handed-out Path slices keep reading the retired chunks, so the stability
-// contract above is untouched and cached query results stay valid across a
-// compaction.
+// untouched. Compact copies the live segments into a fresh arena
+// generation and swaps it in with one pointer store, reclaiming ReplaceTail
+// garbage (measured by ArenaStats) while bumping no epoch, no stripe stamp,
+// and no mutation-log entry — readers that loaded the old generation finish
+// in it and previously handed-out Path slices keep reading its chunks, so
+// the stability contract above is untouched and cached query results stay
+// valid across a compaction. Chunk indices restart at zero in every
+// generation, so the ref's 27-bit chunk field bounds one generation's
+// arena (at least 256 GiB), not the store's lifetime.
 // MaybeCompact wraps Compact behind a garbage-ratio gate — it only pays
 // for the arena copy when at least a quarter of the slots are garbage —
 // and is what the maintainers' periodic triggers call.

@@ -81,10 +81,11 @@ type MutationLog interface {
 	LogRemove(id SegmentID)
 }
 
-// Arena and segment-table geometry. Paths live in append-only chunks of at
-// most chunkCap nodes that are never moved, resized or written twice; a path
-// never straddles two chunks, and a path longer than chunkCap gets a chunk of
-// exactly its length. New chunks are sized to the live arena (between
+// Arena and segment-table geometry. The arena lives in generations (see
+// arenaGen); within one, paths live in append-only chunks of at most
+// chunkCap nodes that are never moved, resized or written twice; a path
+// never straddles two chunks, and a path longer than chunkCap gets a chunk
+// of exactly its length. New chunks are sized to the live arena (between
 // minChunkCap and chunkCap), so a small store stays small and a large one
 // wastes at most one path's length at the end of each 512 KiB chunk. Segment
 // refs sit in blocks of refBlockLen atomic words.
@@ -99,34 +100,43 @@ const (
 //
 //	bit  0       live
 //	bits 1-2     side+1 (Unsided, SideForward, SideBackward)
-//	bits 3-18    offset inside the chunk (chunkBits)
-//	bits 19-40   path length (refLenBits)
-//	bits 41-63   chunk index (refChunkBits)
+//	bit  3       long: the path is longer than chunkCap and is its chunk
+//	bits 4-19    offset inside the chunk (chunkBits)
+//	bits 20-36   path length, at most chunkCap (refLenBits)
+//	bits 37-63   chunk index inside the arena generation (refChunkBits)
 //
-// The zero word is a slot never stored. Remove clears only the live bit.
+// A long path sits at offset 0, so its ref spends the offset and length
+// fields together, bits 4-36, on its length. Chunk indices count from zero
+// in every generation, and a chunk holds at least minChunkCap nodes, so a
+// generation would need 2^27 chunks — 256 GiB of arena — before its index
+// overflowed. The zero word is a slot with no live segment.
 type segRef uint64
 
 const (
-	refOffShift   = 3
+	refLong       = 1 << 3
+	refOffShift   = 4
 	refLenShift   = refOffShift + chunkBits
-	refLenBits    = 22
+	refLenBits    = chunkBits + 1
 	refChunkShift = refLenShift + refLenBits
 	refChunkBits  = 64 - refChunkShift
 
 	// maxSegLen is the longest path a ref can describe.
-	maxSegLen = 1<<refLenBits - 1
+	maxSegLen = 1<<(refChunkShift-refOffShift) - 1
 )
 
 // packRef builds a live ref, panicking when the length or chunk index does
-// not fit its field (the offset always fits: only chunks of at most chunkCap
-// nodes hold more than one path).
+// not fit its field. A path longer than chunkCap must sit at offset 0 of a
+// chunk of exactly its length; writeLocked places it so.
 func packRef(chunk, off, n int, side Side) segRef {
 	mustFitLen(n)
 	if uint64(chunk) >= 1<<refChunkBits {
 		panic(fmt.Sprintf("walkstore: chunk %d overflows the packed segment ref", chunk))
 	}
-	return segRef(uint64(chunk)<<refChunkShift | uint64(n)<<refLenShift |
-		uint64(off)<<refOffShift | uint64(side+1)<<1 | 1)
+	r := segRef(uint64(chunk)<<refChunkShift | uint64(side+1)<<1 | 1)
+	if n > chunkCap {
+		return r | refLong | segRef(n)<<refOffShift
+	}
+	return r | segRef(n)<<refLenShift | segRef(off)<<refOffShift
 }
 
 // mustFitLen panics on a path length a segment ref cannot hold.
@@ -136,15 +146,55 @@ func mustFitLen(n int) {
 	}
 }
 
-func (r segRef) live() bool   { return r&1 != 0 }
-func (r segRef) side() Side   { return Side(int8(r>>1&3) - 1) }
-func (r segRef) off() int     { return int(r >> refOffShift & (chunkCap - 1)) }
-func (r segRef) n() int       { return int(r >> refLenShift & maxSegLen) }
-func (r segRef) chunk() int   { return int(r >> refChunkShift) }
-func (r segRef) dead() segRef { return r &^ 1 }
+func (r segRef) live() bool { return r&1 != 0 }
+func (r segRef) side() Side { return Side(int8(r>>1&3) - 1) }
+func (r segRef) long() bool { return r&refLong != 0 }
+func (r segRef) chunk() int { return int(r >> refChunkShift) }
+
+func (r segRef) off() int {
+	if r.long() {
+		return 0
+	}
+	return int(r >> refOffShift & (chunkCap - 1))
+}
+
+func (r segRef) n() int {
+	if r.long() {
+		return int(r >> refOffShift & maxSegLen)
+	}
+	return int(r >> refLenShift & (1<<refLenBits - 1))
+}
 
 // refBlock is one fixed-size block of the segment table.
 type refBlock [refBlockLen]atomic.Uint64
+
+// arenaGen is one generation of the arena: the chunks paths live in and the
+// segment table addressing them, each published through an atomic pointer
+// so a reader that loads a ref and then the chunk directory finds the ref's
+// chunk there. Writers extend the current generation under segMu; Compact
+// copies the live paths into a fresh generation and swaps it in with one
+// pointer store, so no chunk index or table word of a generation is ever
+// reused. The old generation is left to the garbage collector: a reader
+// that loaded it reads the table as it stood when Compact began, which is
+// frozen from then on, and slices readers hold keep their chunks alive.
+type arenaGen struct {
+	chunks atomic.Pointer[[][]graph.NodeID] // by chunk index
+	refs   atomic.Pointer[[]*refBlock]      // by SegmentID / refBlockLen
+	fill   int                              // nodes written into the last chunk; under segMu
+	slots  int64                            // nodes written into the chunks; under segMu
+}
+
+// newArenaGen returns an empty generation with table blocks for nsegs IDs.
+func newArenaGen(nsegs int) *arenaGen {
+	g := &arenaGen{}
+	blocks := make([]*refBlock, (nsegs+refBlockLen-1)/refBlockLen)
+	for i := range blocks {
+		blocks[i] = new(refBlock)
+	}
+	g.chunks.Store(new([][]graph.NodeID))
+	g.refs.Store(&blocks)
+	return g
+}
 
 const (
 	// stripeBits selects the counter stripe from a node ID's low bits;
@@ -314,16 +364,13 @@ var ErrConcurrentMutation = errors.New("walkstore: concurrent mutation during Va
 type Store struct {
 	// segMu serializes the writers of the arena and segment table and the
 	// quiescent passes over them, and guards the fields below it. Segment
-	// reads (Path, AppendPaths, SideOf) take no lock: they load chunks and
-	// refs, each published through an atomic pointer.
+	// reads (Path, AppendPaths, SideOf) take no lock: they load the arena
+	// generation, then a ref and the chunk directory from it.
 	segMu     sync.RWMutex
-	chunks    atomic.Pointer[[][]graph.NodeID] // by chunk index; nil once retired
-	refs      atomic.Pointer[[]*refBlock]      // by SegmentID / refBlockLen
-	nsegs     int                              // IDs assigned so far
-	fill      int                              // nodes written into the last chunk
+	arena     atomic.Pointer[arenaGen]
+	nsegs     int // IDs assigned so far
 	numLive   int
 	liveNodes int64 // arena slots referenced by live segments
-	slots     int64 // arena slots written into unretired chunks
 	mlog      MutationLog
 
 	// Global counter mirrors, updated once per completed mutation (the
@@ -361,8 +408,7 @@ func New() *Store {
 	for i := range s.stripes {
 		s.stripes[i].sparse = make(map[graph.NodeID]*nodeState)
 	}
-	s.chunks.Store(new([][]graph.NodeID))
-	s.refs.Store(new([]*refBlock))
+	s.arena.Store(newArenaGen(0))
 	return s
 }
 
@@ -601,47 +647,68 @@ func (s *Store) appendSegmentLocked(path []graph.NodeID, side Side) (SegmentID, 
 	return id, stored
 }
 
-// writeLocked copies a then b into the arena as one path and returns its
-// ref and its arena-resident copy. The path goes at the end of the last
-// chunk when it fits there, else at the start of a new chunk, which is
-// published before the caller can publish a ref into it. Caller holds segMu.
+// writeLocked copies a then b into the current arena generation as one
+// path and returns its ref and its arena-resident copy. Caller holds segMu.
 func (s *Store) writeLocked(a, b []graph.NodeID, side Side) (segRef, []graph.NodeID) {
+	return s.arena.Load().write(a, b, side, s.chunkSize())
+}
+
+// chunkSize is the size of the next shared chunk: the live arena, clamped
+// to [minChunkCap, chunkCap]. Caller holds segMu.
+func (s *Store) chunkSize() int {
+	return min(chunkCap, max(minChunkCap, int(s.liveNodes)))
+}
+
+// write copies a then b into g as one path and returns its ref and its
+// arena-resident copy. The path goes at the end of the last chunk when it
+// fits there, else at the start of a new chunk of size nodes (or of exactly
+// its length, if longer), which is published before the caller can publish
+// a ref into it. Caller holds segMu or owns an unpublished g.
+func (g *arenaGen) write(a, b []graph.NodeID, side Side, size int) (segRef, []graph.NodeID) {
 	n := len(a) + len(b)
-	dir := *s.chunks.Load()
-	if len(dir) == 0 || s.fill+n > len(dir[len(dir)-1]) {
-		size := min(chunkCap, max(minChunkCap, int(s.liveNodes)))
+	dir := *g.chunks.Load()
+	if len(dir) == 0 || g.fill+n > len(dir[len(dir)-1]) {
 		grown := append(dir, make([]graph.NodeID, max(n, size)))
-		s.chunks.Store(&grown)
-		dir, s.fill = grown, 0
+		g.chunks.Store(&grown)
+		dir, g.fill = grown, 0
 	}
 	last := len(dir) - 1
-	off := s.fill
+	off := g.fill
 	c := dir[last][off : off+n : off+n]
 	copy(c[copy(c, a):], b)
-	s.fill += n
-	s.slots += int64(n)
+	g.fill += n
+	g.slots += int64(n)
 	return packRef(last, off, n, side), c
 }
 
-// setRefLocked publishes r as segment id's table word, adding ref blocks up
-// to id's first. Caller holds segMu.
+// setRefLocked publishes r as segment id's table word in the current arena
+// generation. Caller holds segMu.
 func (s *Store) setRefLocked(id SegmentID, r segRef) {
-	blocks := *s.refs.Load()
+	s.arena.Load().setRef(id, r)
+}
+
+// setRef publishes r as segment id's table word, adding table blocks up to
+// id's first. Caller holds segMu or owns an unpublished g.
+func (g *arenaGen) setRef(id SegmentID, r segRef) {
+	blocks := *g.refs.Load()
 	b := int(id / refBlockLen)
 	if b >= len(blocks) {
 		grown := blocks
 		for b >= len(grown) {
 			grown = append(grown, new(refBlock))
 		}
-		s.refs.Store(&grown)
+		g.refs.Store(&grown)
 		blocks = grown
 	}
 	blocks[b][id%refBlockLen].Store(uint64(r))
 }
 
-// refAt returns segment id's table word: zero for an ID never assigned.
-func (s *Store) refAt(id SegmentID) segRef {
-	blocks := *s.refs.Load()
+// refAt returns segment id's table word in the current arena generation:
+// zero for an ID never assigned or removed.
+func (s *Store) refAt(id SegmentID) segRef { return s.arena.Load().refAt(id) }
+
+func (g *arenaGen) refAt(id SegmentID) segRef {
+	blocks := *g.refs.Load()
 	if b := uint64(id) / refBlockLen; b < uint64(len(blocks)) {
 		return segRef(blocks[b][uint64(id)%refBlockLen].Load())
 	}
@@ -649,8 +716,10 @@ func (s *Store) refAt(id SegmentID) segRef {
 }
 
 // ref returns the live ref of id, panicking on unknown or removed segments.
-func (s *Store) ref(id SegmentID) segRef {
-	r := s.refAt(id)
+func (s *Store) ref(id SegmentID) segRef { return s.arena.Load().ref(id) }
+
+func (g *arenaGen) ref(id SegmentID) segRef {
+	r := g.refAt(id)
 	if !r.live() {
 		unknownSegment(id)
 	}
@@ -661,14 +730,18 @@ func unknownSegment(id SegmentID) {
 	panic(fmt.Sprintf("walkstore: unknown segment %d", id))
 }
 
-// pathOf returns the arena window r addresses, capacity-clamped so callers
-// cannot append into the arena, or nil when Compact has retired r's chunk:
-// Compact publishes every moved ref before it retires a chunk, so a reader
-// that gets nil reloads the ref and finds the path in its new place.
-func (s *Store) pathOf(r segRef) []graph.NodeID {
-	c := (*s.chunks.Load())[r.chunk()]
-	if c == nil {
-		return nil
+// pathOf returns the window a ref of the current arena generation
+// addresses. Caller holds segMu, so the generation cannot change between
+// loading r and resolving it.
+func (s *Store) pathOf(r segRef) []graph.NodeID { return s.arena.Load().pathOf(r) }
+
+// pathOf returns the chunk window r addresses, capacity-clamped so callers
+// cannot append into the arena. r must come from g's table: the chunk
+// directory is loaded after r, so it holds r's chunk.
+func (g *arenaGen) pathOf(r segRef) []graph.NodeID {
+	c := (*g.chunks.Load())[r.chunk()]
+	if r.long() {
+		return c[:len(c):len(c)]
 	}
 	off, end := r.off(), r.off()+r.n()
 	return c[off:end:end]
@@ -825,19 +898,11 @@ func sortOpsByStripe(ops []tailOp) {
 // its contents even after later mutations of the same segment or a Compact.
 // This stability is what lets concurrent readers (the query layer's
 // splices, the maintainers' scans) hold a coherent path with no copy while
-// mutations continue. Path takes no lock: it loads the segment's ref and
-// the chunk directory, retrying when a Compact retired the chunk between
-// the two loads.
+// mutations continue. Path takes no lock: it loads the arena generation,
+// the segment's ref in it and the generation's chunk directory.
 func (s *Store) Path(id SegmentID) []graph.NodeID {
-	for {
-		r := s.refAt(id)
-		if !r.live() {
-			unknownSegment(id)
-		}
-		if p := s.pathOf(r); p != nil {
-			return p
-		}
-	}
+	g := s.arena.Load()
+	return g.pathOf(g.ref(id))
 }
 
 // AppendPaths appends the paths of ids to dst (reset first) — the repair
@@ -845,8 +910,9 @@ func (s *Store) Path(id SegmentID) []graph.NodeID {
 // Path's stability guarantee.
 func (s *Store) AppendPaths(dst [][]graph.NodeID, ids []SegmentID) [][]graph.NodeID {
 	dst = dst[:0]
+	g := s.arena.Load()
 	for _, id := range ids {
-		dst = append(dst, s.Path(id))
+		dst = append(dst, g.pathOf(g.ref(id)))
 	}
 	return dst
 }
@@ -1089,13 +1155,13 @@ func (s *Store) NumSegments() int {
 }
 
 // ArenaStats reports the arena's live and total node slots: the slots live
-// segments reference and the slots written into unretired chunks. The
-// difference is garbage left behind by ReplaceTail/Remove, which Compact
-// reclaims.
+// segments reference and the slots written into the current generation's
+// chunks. The difference is garbage left behind by ReplaceTail/Remove,
+// which Compact reclaims.
 func (s *Store) ArenaStats() (live, total int64) {
 	s.segMu.RLock()
 	defer s.segMu.RUnlock()
-	return s.liveNodes, s.slots
+	return s.liveNodes, s.arena.Load().slots
 }
 
 // compactMinGarbageFrac is the garbage fraction below which MaybeCompact
@@ -1122,44 +1188,40 @@ func (s *Store) MaybeCompact() bool {
 	return true
 }
 
-// Compact rewrites every live segment's path into fresh, densely packed
-// chunks (in segment-ID order) and retires the old ones, reclaiming the
+// Compact rewrites every live segment's path into a fresh arena generation
+// (densely packed, in segment-ID order) and swaps it in, reclaiming the
 // garbage ReplaceTail and Remove leave behind. It changes no logical state:
 // no visit moves, no counter changes, Epoch()/StripeEpoch stamps stay put,
 // and nothing is written to the mutation log — a compaction commutes with
 // replaying the log, so WAL sequence numbers and checkpoint epochs are
 // unaffected. It holds segMu for writing, so no other writer overlaps it,
-// but readers go on: every moved ref is published before any old chunk is
-// retired, so a reader that finds its chunk retired reloads the ref and
-// reads the new copy. The stable-Path contract survives because previously
-// returned slices keep pointing into the old chunks, which are never
-// written again (the garbage collector retains them while any such slice
-// is live), and a retired chunk's index is never reused. Returns the live
-// slot count and the number reclaimed.
+// but readers go on: the new generation is built unpublished and swapped in
+// with one pointer store, so a reader resolves each ref in the generation
+// it loaded, whose table stopped changing when Compact began. The
+// stable-Path contract survives because previously returned slices keep
+// pointing into the old chunks, which are never written again (the garbage
+// collector retains them while any such slice is live). Every generation
+// numbers its chunks from zero, so the chunk index a ref can hold bounds
+// one generation's arena, not the store's lifetime. Returns the live slot
+// count and the number reclaimed.
 func (s *Store) Compact() (live, reclaimed int64) {
 	s.segMu.Lock()
 	defer s.segMu.Unlock()
-	old := s.slots
-	if old == s.liveNodes {
+	prev := s.arena.Load()
+	if prev.slots == s.liveNodes {
 		return s.liveNodes, 0
 	}
-	// Seal the last chunk so every copy lands in a fresh one.
-	dir := *s.chunks.Load()
-	retired := len(dir)
-	s.fill = len(dir[retired-1])
-	s.slots = 0
+	next := newArenaGen(s.nsegs)
+	size := s.chunkSize()
 	for i := 0; i < s.nsegs; i++ {
 		id := SegmentID(i)
-		if r := s.refAt(id); r.live() {
-			moved, _ := s.writeLocked(s.pathOf(r), nil, r.side())
-			s.setRefLocked(id, moved)
+		if r := prev.refAt(id); r.live() {
+			moved, _ := next.write(prev.pathOf(r), nil, r.side(), size)
+			next.setRef(id, moved)
 		}
 	}
-	dir = *s.chunks.Load()
-	kept := make([][]graph.NodeID, len(dir))
-	copy(kept[retired:], dir[retired:])
-	s.chunks.Store(&kept)
-	return s.liveNodes, old - s.slots
+	s.arena.Store(next)
+	return s.liveNodes, prev.slots - next.slots
 }
 
 // ReplaceTail truncates the segment to its first keep nodes (keep >= 1) and
@@ -1419,7 +1481,7 @@ func (s *Store) retire(id SegmentID) ([]graph.NodeID, Side) {
 	r := s.ref(id)
 	s.mutators.Add(1)
 	p := s.pathOf(r)
-	s.setRefLocked(id, r.dead())
+	s.setRefLocked(id, 0)
 	s.numLive--
 	s.liveNodes -= int64(r.n())
 	if s.mlog != nil {
@@ -1473,10 +1535,11 @@ func (s *Store) Validate() error {
 	}
 	var total, live int64
 	numLive := 0
-	dir := *s.chunks.Load()
+	g := s.arena.Load()
+	dir := *g.chunks.Load()
 	for i := 0; i < s.nsegs; i++ {
 		id := SegmentID(i)
-		r := s.refAt(id)
+		r := g.refAt(id)
 		if !r.live() {
 			continue
 		}
@@ -1484,10 +1547,10 @@ func (s *Store) Validate() error {
 		if r.n() <= 0 {
 			return fmt.Errorf("walkstore: segment %d has empty path", id)
 		}
-		if r.chunk() >= len(dir) || r.off()+r.n() > len(dir[r.chunk()]) {
+		if r.chunk() >= len(dir) || r.off()+r.n() > len(dir[r.chunk()]) || r.long() && r.n() != len(dir[r.chunk()]) {
 			return fmt.Errorf("walkstore: segment %d ref (chunk %d, %d, %d) outside its chunk of %d chunks", id, r.chunk(), r.off(), r.n(), len(dir))
 		}
-		p := s.pathOf(r)
+		p := g.pathOf(r)
 		live += int64(len(p))
 		side := r.side()
 		wantTerminals[p[len(p)-1]]++
@@ -1523,8 +1586,8 @@ func (s *Store) Validate() error {
 	if live != s.liveNodes {
 		return fmt.Errorf("walkstore: liveNodes=%d want %d", s.liveNodes, live)
 	}
-	if s.slots < live {
-		return fmt.Errorf("walkstore: %d arena slots written for %d live", s.slots, live)
+	if g.slots < live {
+		return fmt.Errorf("walkstore: %d arena slots written for %d live", g.slots, live)
 	}
 	if got := s.totalVisits.Load(); got != total {
 		return fmt.Errorf("walkstore: totalVisits=%d want %d", got, total)
